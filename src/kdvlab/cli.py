@@ -69,6 +69,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _fail(kind: str, message: str, code: int) -> int:
     json.dump({"error": kind, "message": message}, sys.stderr)
     sys.stderr.write("\n")
@@ -226,7 +236,7 @@ def build_parser() -> _Parser:
     p_solve.add_argument("--dt", type=float, default=None)
     p_solve.add_argument("--t", type=float, required=True)
     p_solve.add_argument("--init", type=str, required=True)
-    p_solve.add_argument("--samples", type=int, default=20)
+    p_solve.add_argument("--samples", type=_positive_int, default=20)
     p_solve.add_argument("--no-dealias", action="store_true")
     p_solve.add_argument("--out", type=str, default="runs/solve")
 

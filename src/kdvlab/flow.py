@@ -137,6 +137,9 @@ def _to_state(coeffs: np.ndarray, m: int) -> np.ndarray:
     return chat
 
 
+_BLOCK_BYTES = 120 * 1024  # largest RHS temporary of one row block
+
+
 def _evolve_state(
     coeffs: np.ndarray, t: float, cfg: SolverConfig, nl_band: int | None = None
 ) -> np.ndarray:
@@ -151,8 +154,22 @@ def _evolve_state(
     n_steps = max(1, math.ceil(abs(t) / dt))
     h = t / n_steps
     chat = _to_state(coeffs, m)
-    rhs = _make_rhs(m, band, _grid_size(m, cfg.dealias))
-    chat = _ifrk4(chat, n_steps, h, m, rhs)
+    grid_n = _grid_size(m, cfg.dealias)
+    rhs = _make_rhs(m, band, grid_n)
+    # Once h is fixed the rows evolve independently, so they are stepped in
+    # row blocks whose largest RHS temporary (one complex spectrum per row)
+    # stays below glibc's default 128 KiB mmap threshold: a whole large batch
+    # would map, fault in and unmap fresh pages on every call.  Results do
+    # not depend on the blocking.
+    block = max(1, _BLOCK_BYTES // (16 * (grid_n // 2 + 1)))
+    diverged = []
+    for start in range(0, chat.shape[0], block):
+        try:
+            chat[start : start + block] = _ifrk4(chat[start : start + block], n_steps, h, m, rhs)
+        except FlowDivergenceError as exc:
+            diverged.append(exc.step)
+    if diverged:
+        raise FlowDivergenceError(min(diverged))
     return chat[..., 1:] / MODE_TO_EXP
 
 
@@ -188,23 +205,6 @@ def evolve_many(coeffs: np.ndarray, t: float, cfg: SolverConfig) -> np.ndarray:
     so results do not depend on how the batch is split.
     """
     return _evolve_state(coeffs, t, cfg)
-
-
-def evolve_many_snapshots(
-    coeffs: np.ndarray, times, cfg: SolverConfig
-) -> list[np.ndarray]:
-    """Evolve a batch through an increasing time grid, recording each time."""
-    times = list(times)
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError("snapshot times must be strictly increasing")
-    out = []
-    state = np.atleast_2d(coeffs)
-    t_prev = 0.0
-    for t in times:
-        state = _evolve_state(state, t - t_prev, cfg)
-        t_prev = t
-        out.append(state.copy())
-    return out
 
 
 @dataclass(frozen=True)

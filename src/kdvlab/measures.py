@@ -94,10 +94,6 @@ class WeightedEnsemble:
     def n_modes(self) -> int:
         return self.coeffs.shape[1]
 
-    @property
-    def samples(self) -> list[TorusField]:
-        return [TorusField(row) for row in self.coeffs]
-
     def field(self, i: int) -> TorusField:
         return TorusField(self.coeffs[i])
 

@@ -11,6 +11,14 @@ Three solvers over the coupling polytope Marg(a, b):
 
 Distances are |x - y|_{H^s} raised to the requested power; the combined
 metric adds the bottleneck value in L2 to the p-cost in H^s.
+
+Zero-weight draws carry no mass in any coupling, so every solver gathers
+the positive-weight rows and columns first and builds distances on that
+live block only; a Gibbs ensemble keeps only a few percent of its draws.
+Plans are returned in the full (n, m) layout with dead rows and columns at
+zero, and values are priced over that layout, so they do not depend on the
+pruning.  ``pushforward_cost`` likewise prices only the pairs in the plan's
+support.
 """
 
 from __future__ import annotations
@@ -79,31 +87,68 @@ def _common_modes(a: WeightedEnsemble, b: WeightedEnsemble):
     return a.padded(m).coeffs, b.padded(m).coeffs
 
 
+def _live_support(a: WeightedEnsemble, b: WeightedEnsemble):
+    """Positive-weight indices of both ensembles and their live common-mode coefficients."""
+    xa, xb = _common_modes(a, b)
+    ia = np.flatnonzero(a.weights > 0)
+    ib = np.flatnonzero(b.weights > 0)
+    return ia, ib, xa[ia], xb[ib]
+
+
+def _embed(sub: np.ndarray, ia: np.ndarray, ib: np.ndarray, shape) -> np.ndarray:
+    """Scatter a live-block matrix into the full layout, dead rows and columns at zero."""
+    full = np.zeros(shape)
+    full[np.ix_(ia, ib)] = sub
+    return full
+
+
+def _hs_norms(diff: np.ndarray, s: float) -> np.ndarray:
+    """H^s norms of the amplitude vectors along the last axis."""
+    k = np.arange(1, diff.shape[-1] + 1, dtype=np.float64)
+    w = NORM_FACTOR * k ** (2 * s)
+    return np.sqrt(np.sum(w * (diff.real**2 + diff.imag**2), axis=-1))
+
+
 def _distance_matrix(xa: np.ndarray, xb: np.ndarray, s: float) -> np.ndarray:
     """Pairwise H^s distances by direct differencing (exact zeros on ties)."""
-    k = np.arange(1, xa.shape[1] + 1, dtype=np.float64)
-    w = NORM_FACTOR * k ** (2 * s)
     n, m = xa.shape[0], xb.shape[0]
     out = np.empty((n, m))
     block = max(1, (1 << 22) // max(1, m * xa.shape[1]))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        diff = xa[start:stop, None, :] - xb[None, :, :]
-        out[start:stop] = np.sqrt(np.sum(w * (diff.real**2 + diff.imag**2), axis=-1))
+        out[start:stop] = _hs_norms(xa[start:stop, None, :] - xb[None, :, :], s)
     return out
+
+
+def _pair_distances(
+    xa: np.ndarray, xb: np.ndarray, rows: np.ndarray, cols: np.ndarray, s: float
+) -> np.ndarray:
+    """H^s distances |xa[rows[k]] - xb[cols[k]]| for the listed pairs only."""
+    out = np.empty(rows.size)
+    block = max(1, (1 << 22) // max(1, xa.shape[1]))
+    for start in range(0, rows.size, block):
+        stop = min(start + block, rows.size)
+        out[start:stop] = _hs_norms(xa[rows[start:stop]] - xb[cols[start:stop]], s)
+    return out
+
+
+def _costs(xa: np.ndarray, xb: np.ndarray, s: float, p: float) -> np.ndarray:
+    if s < 0:
+        raise ValueError("regularity exponent must be >= 0")
+    if not p >= 1:
+        raise ValueError("the transport order must satisfy p >= 1")
+    return _distance_matrix(xa, xb, s) ** p
 
 
 def cost_matrix(a: WeightedEnsemble, b: WeightedEnsemble, s: float, p: float) -> CostMatrix:
     """H^s distances to the power p between all support pairs.
 
     Ensembles with different truncations are zero-padded to the larger one.
+    This is the dense matrix over every draw, dead ones included; the
+    solvers build costs on the live block instead.
     """
-    if s < 0:
-        raise ValueError("regularity exponent must be >= 0")
-    if not p >= 1:
-        raise ValueError("the transport order must satisfy p >= 1")
     xa, xb = _common_modes(a, b)
-    return CostMatrix(entries=_distance_matrix(xa, xb, s) ** p, s=s, p=p)
+    return CostMatrix(entries=_costs(xa, xb, s, p), s=s, p=p)
 
 
 def _check_marginals(a: WeightedEnsemble, b: WeightedEnsemble) -> None:
@@ -139,22 +184,25 @@ def wasserstein_p_exact(
 
     Uniform equal-size marginals reduce to an optimal assignment; anything
     else is solved as a linear program.  Zero-weight support points are
-    pruned before solving and re-embedded as zero rows/columns of the plan.
+    pruned before any distance is built, and re-embedded as zero rows and
+    columns of the plan.
     """
     if not (p >= 1 and math.isfinite(p)):
         raise ValueError("the transport order must be a finite p >= 1")
     _check_marginals(a, b)
-    cm = cost_matrix(a, b, s, p)
-    full = np.zeros((a.n, b.n))
+    ia, ib, xa, xb = _live_support(a, b)
+    cost = _costs(xa, xb, s, p)
     if _uniform_equal(a, b):
-        rows, cols = linear_sum_assignment(cm.entries)
-        full[rows, cols] = 1.0 / a.n
+        rows, cols = linear_sum_assignment(cost)
+        sub = np.zeros(cost.shape)
+        sub[rows, cols] = 1.0 / a.n
     else:
-        ia = np.flatnonzero(a.weights > 0)
-        ib = np.flatnonzero(b.weights > 0)
-        sub = _transport_lp(a.weights[ia], b.weights[ib], cm.entries[np.ix_(ia, ib)])
-        full[np.ix_(ia, ib)] = sub
-    value = float(np.sum(full * cm.entries)) ** (1.0 / p)
+        sub = _transport_lp(a.weights[ia], b.weights[ib], cost)
+    shape = (a.n, b.n)
+    full = _embed(sub, ia, ib, shape)
+    # priced over the full layout: the summation order, hence every bit of
+    # the value, is the same as for a dense solve
+    value = float(np.sum(full * _embed(cost, ia, ib, shape))) ** (1.0 / p)
     return value, _plan_from(full, a.weights, b.weights)
 
 
@@ -205,11 +253,9 @@ def wasserstein_p_entropic(
     if not epsilon > 0:
         raise ValueError("regularisation must be positive")
     _check_marginals(a, b)
-    cm = cost_matrix(a, b, s, p)
-    ia = np.flatnonzero(a.weights > 0)
-    ib = np.flatnonzero(b.weights > 0)
+    ia, ib, xa, xb = _live_support(a, b)
     wa, wb = a.weights[ia], b.weights[ib]
-    cost = cm.entries[np.ix_(ia, ib)]
+    cost = _costs(xa, xb, s, p)
     la, lb = np.log(wa), np.log(wb)
     f = np.zeros(wa.size)
     g = np.zeros(wb.size)
@@ -238,10 +284,9 @@ def wasserstein_p_entropic(
             break
     else:
         raise SinkhornConvergenceError(residual, iterations)
-    plan_sub = _round_to_feasible(np.exp(log_plan), wa, wb)
-    full = np.zeros((a.n, b.n))
-    full[np.ix_(ia, ib)] = plan_sub
-    value = float(np.sum(full * cm.entries)) ** (1.0 / p)
+    shape = (a.n, b.n)
+    full = _embed(_round_to_feasible(np.exp(log_plan), wa, wb), ia, ib, shape)
+    value = float(np.sum(full * _embed(cost, ia, ib, shape))) ** (1.0 / p)
     return EntropicResult(
         value=value,
         plan=_plan_from(full, a.weights, b.weights),
@@ -314,13 +359,11 @@ def wasserstein_inf(a: WeightedEnsemble, b: WeightedEnsemble) -> tuple[float, Tr
     equal-size marginals and by an integer max-flow otherwise.  The final
     threshold is confirmed by an exact LP, which also provides the reported
     plan (rounding in the flow test can never survive that confirmation).
+    Zero-weight support points are pruned before any distance is built.
     """
     _check_marginals(a, b)
-    xa, xb = _common_modes(a, b)
-    dist = _distance_matrix(xa, xb, 0.0)
-    ia = np.flatnonzero(a.weights > 0)
-    ib = np.flatnonzero(b.weights > 0)
-    sub = dist[np.ix_(ia, ib)]
+    ia, ib, xa, xb = _live_support(a, b)
+    sub = _distance_matrix(xa, xb, 0.0)
     wa, wb = a.weights[ia], b.weights[ib]
     uniform = _uniform_equal(a, b)
     if uniform:
@@ -340,13 +383,13 @@ def wasserstein_inf(a: WeightedEnsemble, b: WeightedEnsemble) -> tuple[float, Tr
         else:
             lo = mid + 1
     idx = hi
-    full = np.zeros((a.n, b.n))
     if uniform:
         # the matching test is exact; the matching itself is the plan
         match = maximum_bipartite_matching(
             sparse.csr_matrix(sub <= levels[idx]), perm_type="column"
         )
-        full[np.arange(a.n), match] = 1.0 / a.n
+        plan_sub = np.zeros(sub.shape)
+        plan_sub[np.arange(a.n), match] = 1.0 / a.n
     else:
         # the flow test rounds masses to an integer grid; confirm the
         # threshold with an exact feasibility LP, which also yields the plan
@@ -356,7 +399,7 @@ def wasserstein_inf(a: WeightedEnsemble, b: WeightedEnsemble) -> tuple[float, Tr
             plan_sub = _restricted_lp(wa, wb, sub, sub <= levels[idx])
         if plan_sub is None:
             raise RuntimeError("bottleneck feasibility could not be established")
-        full[np.ix_(ia, ib)] = plan_sub
+    full = _embed(plan_sub, ia, ib, (a.n, b.n))
     return float(levels[idx]), _plan_from(full, a.weights, b.weights)
 
 
@@ -435,17 +478,18 @@ def pushforward_cost(
 
     A coupling pushed through the flow stays a coupling of the evolved
     ensembles, so both reported numbers upper-bound the corresponding
-    re-optimised distances at time t.
+    re-optimised distances at time t.  Only the pairs in the plan's support
+    are priced.
     """
     xa, xb = _common_modes(a, b)
     if t != 0.0:
         xa = evolve_many(xa, t, cfg)
         xb = evolve_many(xb, t, cfg)
-    mask = plan.plan > _MASS_EPS
-    dist_hs = _distance_matrix(xa, xb, s)
-    dist_l2 = dist_hs if s == 0 else _distance_matrix(xa, xb, 0.0)
-    w_p = float(np.sum(plan.plan[mask] * dist_hs[mask] ** p)) ** (1.0 / p)
-    w_inf = float(np.max(dist_l2[mask])) if np.any(mask) else 0.0
+    rows, cols = np.nonzero(plan.plan > _MASS_EPS)
+    dist_hs = _pair_distances(xa, xb, rows, cols, s)
+    dist_l2 = dist_hs if s == 0 else _pair_distances(xa, xb, rows, cols, 0.0)
+    w_p = float(np.sum(plan.plan[rows, cols] * dist_hs**p)) ** (1.0 / p)
+    w_inf = float(np.max(dist_l2)) if rows.size else 0.0
     return PushforwardCost(t=t, w_p_bound=w_p, w_inf_bound=w_inf)
 
 

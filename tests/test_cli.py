@@ -98,6 +98,18 @@ def test_exit_codes(tmp_path, capsys):
         assert set(payload) == {"error", "message"}
 
 
+def test_solve_rejects_nonpositive_samples(tmp_path, capsys):
+    for bad in ("0", "-3", "two"):
+        rc = cli_entry(["solve", "--t", "0.1", "--init", "c1", "--samples", bad,
+                        "--out", str(tmp_path / "s")])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        assert payload["error"] == "usage" and "--samples" in payload["message"]
+    assert not (tmp_path / "s").exists()
+
+
 def test_env_thread_fallback(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

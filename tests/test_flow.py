@@ -174,6 +174,25 @@ def test_evolve_batch_matches_single():
         assert np.max(np.abs(batch[i] - single[0])) < 1e-9
 
 
+def test_row_blocks_leave_the_batch_result_unchanged(monkeypatch):
+    from kdvlab import flow
+
+    rng = np.random.default_rng(13)
+    cfg = SolverConfig(n_modes=16, dt=1e-3)
+    coeffs = np.stack([random_field(rng, 8).modes for _ in range(150)])
+    monkeypatch.setattr(flow, "_BLOCK_BYTES", 32 * 16 * 33)  # 32-row blocks on the 64-point grid
+    blocked = evolve_many(coeffs, 0.05, cfg)
+    wild = SolverConfig(n_modes=16, dt=0.4, cfl_constant=1e9)
+    growing = np.linspace(0.5, 8.0, 150)[:, None] * cosine_mode(1, 8).modes[None, :]
+    with pytest.raises(FlowDivergenceError) as blocked_err:
+        evolve_many(growing, 40.0, wild)
+    monkeypatch.setattr(flow, "_BLOCK_BYTES", 1 << 40)  # the whole batch in one block
+    assert np.array_equal(blocked, evolve_many(coeffs, 0.05, cfg))
+    with pytest.raises(FlowDivergenceError) as whole_err:
+        evolve_many(growing, 40.0, wild)
+    assert blocked_err.value.step == whole_err.value.step
+
+
 def test_evolve_rejects_unresolvable_modes():
     cfg = SolverConfig(n_modes=4)
     with pytest.raises(ValueError):

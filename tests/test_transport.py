@@ -3,11 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from kdvlab.flow import SolverConfig
+from kdvlab import transport
+from kdvlab.flow import SolverConfig, evolve_many
 from kdvlab.measures import WeightedEnsemble
 from kdvlab.spectral import cosine_mode, sobolev_norm
 from kdvlab.transport import (
     SinkhornConvergenceError,
+    _distance_matrix,
+    _plan_from,
+    _transport_lp,
     combined_metric,
     combined_metric_parts,
     cost_matrix,
@@ -354,3 +358,118 @@ def test_entropic_backend_flagged():
     assert parts.total >= exact - 1e-9
     with pytest.raises(ValueError):
         combined_metric(a, b, 0.25, 2.0, backend="fancy")
+
+
+# --- pruning to the live support leaves every number unchanged ---------------
+
+
+def sparse_pair():
+    """Two ensembles with unequal mode counts where most draws weigh zero.
+
+    Every other dead draw is scaled up twentyfold, so the largest distances
+    of a dense build all belong to draws that carry no mass.
+    """
+    rng = np.random.default_rng(23)
+
+    def make(n, m, live):
+        coeffs = 0.3 * (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+        w = np.zeros(n)
+        idx = np.sort(rng.choice(n, size=live, replace=False))
+        w[idx] = rng.random(live) + 0.1
+        coeffs[np.setdiff1d(np.arange(n), idx)[::2]] *= 20.0
+        return WeightedEnsemble(coeffs, w / w.sum())
+
+    return make(40, 6, 7), make(33, 9, 5)
+
+
+def dense_distances(a, b, s):
+    """H^s distances over every pair of the zero-padded ensembles."""
+    m = max(a.n_modes, b.n_modes)
+    return _distance_matrix(a.padded(m).coeffs, b.padded(m).coeffs, s)
+
+
+def live(a, b):
+    return np.flatnonzero(a.weights > 0), np.flatnonzero(b.weights > 0)
+
+
+def solve_on_dense_slices(monkeypatch, a, b, solve):
+    """Run a solver with its live-block distances sliced out of a dense build."""
+    ia, ib = live(a, b)
+
+    def dense_slice(xa, xb, s):
+        assert xa.shape[0] == ia.size and xb.shape[0] == ib.size  # only live draws reach here
+        return dense_distances(a, b, s)[np.ix_(ia, ib)]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(transport, "_distance_matrix", dense_slice)
+        return solve()
+
+
+def assert_dead_zero(plan, a, b):
+    ia, ib = live(a, b)
+    assert np.all(np.delete(plan.plan, ia, axis=0) == 0.0)
+    assert np.all(np.delete(plan.plan, ib, axis=1) == 0.0)
+
+
+def test_pruned_exact_equals_dense_reference():
+    a, b = sparse_pair()
+    ia, ib = live(a, b)
+    s, p = 0.25, 2.0
+    dist = dense_distances(a, b, s)
+    dense = dist**p
+    full = np.zeros((a.n, b.n))
+    full[np.ix_(ia, ib)] = _transport_lp(a.weights[ia], b.weights[ib], dense[np.ix_(ia, ib)])
+    ref_value = float(np.sum(full * dense)) ** (1.0 / p)
+
+    value, plan = wasserstein_p_exact(a, b, s, p)
+    assert value == ref_value
+    assert np.array_equal(plan.plan, _plan_from(full, a.weights, b.weights).plan)
+    assert_dead_zero(plan, a, b)
+    # the live block of the dense build is exactly the pruned build
+    assert np.array_equal(
+        dist[np.ix_(ia, ib)], _distance_matrix(a.padded(b.n_modes).coeffs[ia], b.coeffs[ib], s)
+    )
+
+
+def test_pruned_bottleneck_and_entropic_equal_dense_reference(monkeypatch):
+    a, b = sparse_pair()
+    w_inf, plan = wasserstein_inf(a, b)
+    ref_inf, ref_plan = solve_on_dense_slices(monkeypatch, a, b, lambda: wasserstein_inf(a, b))
+    assert w_inf == ref_inf
+    assert np.array_equal(plan.plan, ref_plan.plan)
+    assert_dead_zero(plan, a, b)
+
+    ia, ib = live(a, b)
+    epsilon = 0.05 * float(np.median(dense_distances(a, b, 0.25)[np.ix_(ia, ib)] ** 2))
+    res = wasserstein_p_entropic(a, b, 0.25, 2.0, epsilon)
+    ref = solve_on_dense_slices(
+        monkeypatch, a, b, lambda: wasserstein_p_entropic(a, b, 0.25, 2.0, epsilon)
+    )
+    assert res.value == ref.value and res.iterations == ref.iterations
+    assert np.array_equal(res.plan.plan, ref.plan.plan)
+    assert_dead_zero(res.plan, a, b)
+    assert res.plan.check()
+
+
+def test_pruned_pushforward_cost_equals_dense_reference():
+    a, b = sparse_pair()
+    cfg = SolverConfig(n_modes=16)
+    s, p = 0.25, 2.0
+    _, plan_p = wasserstein_p_exact(a, b, s, p)
+    _, plan_inf = wasserstein_inf(a, b)
+    for plan in (plan_p, plan_inf):
+        for t in (0.0, 0.05):
+            xa, xb = a.padded(b.n_modes).coeffs, b.coeffs
+            if t != 0.0:
+                xa, xb = evolve_many(xa, t, cfg), evolve_many(xb, t, cfg)
+            mask = plan.plan > 1e-15
+            dist_hs = _distance_matrix(xa, xb, s)
+            dist_l2 = _distance_matrix(xa, xb, 0.0)
+            got = pushforward_cost(a, b, plan, t, cfg, s, p)
+            assert got.w_p_bound == float(np.sum(plan.plan[mask] * dist_hs[mask] ** p)) ** (1 / p)
+            assert got.w_inf_bound == float(np.max(dist_l2[mask]))
+
+
+def test_pruned_metric_of_an_ensemble_with_itself_is_zero():
+    a, _ = sparse_pair()
+    assert combined_metric(a, a, 0.25, 2.0) == 0.0
