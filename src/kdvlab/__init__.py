@@ -74,6 +74,7 @@ from .transport import (
     combined_metric,
     combined_metric_parts,
     cost_matrix,
+    plan_cost,
     pushforward_cost,
     wasserstein_inf,
     wasserstein_p_entropic,

@@ -49,7 +49,7 @@ EXIT_NUMERIC = 5
 
 _EPILOG = """exit codes:
   0  success
-  2  usage error (unknown subcommand or flag, bad argument syntax)
+  2  usage error (unknown subcommand or flag, bad argument syntax or value)
   3  malformed or inconsistent configuration
   4  I/O failure (missing file, bad ensemble format, unwritable output)
   5  numerical failure (solver divergence, degenerate ensemble,
@@ -69,14 +69,36 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _positive(kind):
+    """argparse type for a positive int or float."""
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"expected a positive {kind.__name__}, got {text!r}")
+        return value
+
+    return convert
+
+
+def _usage_type(parse):
+    """argparse type that reports the ValueError of parse as a usage error."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+_positive_int = _positive(int)
+_positive_float = _positive(float)
+_solver_modes = _usage_type(lambda text: SolverConfig(n_modes=int(text)).n_modes)
 
 
 def _fail(kind: str, message: str, code: int) -> int:
@@ -112,11 +134,13 @@ def parse_init(text: str):
     return out
 
 
+_init_field = _usage_type(parse_init)
+
+
 def _cmd_solve(args) -> int:
-    u0 = parse_init(args.init)
     cfg = SolverConfig(n_modes=args.modes, dt=args.dt, dealias=not args.no_dealias)
     times = np.linspace(args.t / args.samples, args.t, args.samples)
-    traj = trajectory(u0, times, cfg)
+    traj = trajectory(args.init, times, cfg)
     drift = conserved_report(traj)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "trajectory.csv")
@@ -232,22 +256,22 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="integrate one initial state, write trajectory")
-    p_solve.add_argument("--modes", type=int, default=64)
-    p_solve.add_argument("--dt", type=float, default=None)
+    p_solve.add_argument("--modes", type=_solver_modes, default=64)
+    p_solve.add_argument("--dt", type=_positive_float, default=None)
     p_solve.add_argument("--t", type=float, required=True)
-    p_solve.add_argument("--init", type=str, required=True)
+    p_solve.add_argument("--init", type=_init_field, required=True)
     p_solve.add_argument("--samples", type=_positive_int, default=20)
     p_solve.add_argument("--no-dealias", action="store_true")
     p_solve.add_argument("--out", type=str, default="runs/solve")
 
     p_sample = sub.add_parser("sample", help="draw an ensemble, write a .kdve file")
     p_sample.add_argument("--measure", choices=["gaussian", "gibbs"], default="gaussian")
-    p_sample.add_argument("--modes", type=int, default=16)
-    p_sample.add_argument("--n", type=int, required=True)
+    p_sample.add_argument("--modes", type=_positive_int, default=16)
+    p_sample.add_argument("--n", type=_positive_int, required=True)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--s", type=float, default=0.25)
     p_sample.add_argument("--p", type=float, default=2.0)
-    p_sample.add_argument("--cutoff", type=float, default=1.0)
+    p_sample.add_argument("--cutoff", type=_positive_float, default=1.0)
     p_sample.add_argument("--coeff", type=float, default=1.0 / 6.0)
     p_sample.add_argument("--projection", type=int, default=None)
     p_sample.add_argument("--resample", action="store_true")

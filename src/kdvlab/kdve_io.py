@@ -10,7 +10,9 @@ Layout, little-endian throughout:
     then per sample: f64 weight, then M pairs (f64 re, f64 im) of u_hat(k),
     k = 1..M.
 
-The byte layout is normative; writers must not insert padding.
+The byte layout is normative; writers must not insert padding.  A file is
+valid only if n >= 1, M >= 1, every number is finite, the weights are
+nonnegative and they sum to one within 1e-12.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ def read_ensemble(path, s: float = 0.25, p: float = 2.0) -> WeightedEnsemble:
         )
     record = np.frombuffer(body, dtype="<f8").reshape(n, 1 + 2 * m)
     weights = record[:, 0].copy()
-    coeffs = record[:, 1::2] + 1j * record[:, 2::2]
+    with np.errstate(invalid="ignore"):  # non-finite numbers are rejected below
+        coeffs = record[:, 1::2] + 1j * record[:, 2::2]
     prov = {"kind": "file", "resampled": bool(flags & FLAG_RESAMPLED)}
-    return WeightedEnsemble(coeffs, weights, s, p, prov)
+    try:
+        return WeightedEnsemble(coeffs, weights, s, p, prov)
+    except ValueError as exc:
+        # an empty ensemble, bad weights or non-finite numbers are a bad file
+        raise KdveFormatError(f"not a valid ensemble: {exc}") from None

@@ -64,8 +64,8 @@ class GibbsSpec:
 class WeightedEnsemble:
     """Finite weighted collection of fields standing in for a measure.
 
-    Samples are stored as a (n, M) array of mode amplitudes; weights are
-    nonnegative and sum to one.  The (s, p) pair records the metric context
+    Samples are stored as a (n, M) array of finite mode amplitudes; weights
+    are nonnegative and sum to one.  The (s, p) pair records the metric context
     the ensemble is meant to be compared in.
     """
 
@@ -73,6 +73,8 @@ class WeightedEnsemble:
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.ndim != 2 or coeffs.shape[0] == 0 or coeffs.shape[1] == 0:
             raise ValueError("ensemble needs a nonempty (n, M) coefficient array")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("coefficients must be finite")
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (coeffs.shape[0],):
             raise ValueError("one weight per sample required")

@@ -17,8 +17,9 @@ the positive-weight rows and columns first and builds distances on that
 live block only; a Gibbs ensemble keeps only a few percent of its draws.
 Plans are returned in the full (n, m) layout with dead rows and columns at
 zero, and values are priced over that layout, so they do not depend on the
-pruning.  ``pushforward_cost`` likewise prices only the pairs in the plan's
-support.
+pruning.  ``plan_cost`` likewise prices only the pairs in the plan's
+support, on ensembles already evolved to time t; ``pushforward_cost``
+evolves both full layouts from time zero first.
 """
 
 from __future__ import annotations
@@ -474,17 +475,38 @@ def pushforward_cost(
     s: float,
     p: float,
 ) -> PushforwardCost:
-    """Evolve every support point and price the same plan at time t.
+    """Evolve every support point from time zero and price the same plan at time t.
 
     A coupling pushed through the flow stays a coupling of the evolved
     ensembles, so both reported numbers upper-bound the corresponding
-    re-optimised distances at time t.  Only the pairs in the plan's support
-    are priced.
+    re-optimised distances at time t.  Both full layouts are evolved, dead
+    rows included; a caller that already holds the evolved ensembles should
+    price them with :func:`plan_cost` instead.
     """
     xa, xb = _common_modes(a, b)
     if t != 0.0:
         xa = evolve_many(xa, t, cfg)
         xb = evolve_many(xb, t, cfg)
+    return plan_cost(a.replace(coeffs=xa), b.replace(coeffs=xb), plan, t, s, p)
+
+
+def plan_cost(
+    a_t: WeightedEnsemble,
+    b_t: WeightedEnsemble,
+    plan: TransportPlan,
+    t: float,
+    s: float,
+    p: float,
+) -> PushforwardCost:
+    """Price a fixed plan on two ensembles already evolved to time t.
+
+    Only the pairs in the plan's support are priced, so rows and columns of
+    zero weight may hold any finite values (``measures.pushforward`` leaves
+    them unevolved).  Priced on the same evolved ensembles that a re-optimised
+    distance at t is computed from, the plan is one of the couplings that
+    distance minimises over, so each bound dominates it by construction.
+    """
+    xa, xb = _common_modes(a_t, b_t)
     rows, cols = np.nonzero(plan.plan > _MASS_EPS)
     dist_hs = _pair_distances(xa, xb, rows, cols, s)
     dist_l2 = dist_hs if s == 0 else _pair_distances(xa, xb, rows, cols, 0.0)

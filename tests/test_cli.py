@@ -91,7 +91,8 @@ def test_exit_codes(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("experiment = bogus\n")
     assert cli_entry(["experiment", "--config", str(bad_cfg)]) == EXIT_CONFIG
-    assert cli_entry(["solve", "--t", "0.1", "--init", "zzz"]) == EXIT_NUMERIC
+    # an unparseable --init is a usage error, like any other bad argument value
+    assert cli_entry(["solve", "--t", "0.1", "--init", "zzz"]) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     for line in err:
         payload = json.loads(line)
@@ -118,3 +119,27 @@ def test_env_thread_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KDV_TRANSPORT_THREADS", "2")
     rc = cli_entry(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == EXIT_OK
+
+
+def test_bad_argument_values_are_usage_errors(tmp_path, capsys):
+    solve = ["solve", "--t", "0.1", "--out", str(tmp_path / "s")]
+    sample = ["sample", "--out", str(tmp_path / "e.kdve")]
+    bad_calls = {
+        "--init": solve + ["--init", "c1+"],
+        "--modes": solve + ["--init", "c1", "--modes", "2"],
+        "--dt": solve + ["--init", "c1", "--dt", "0"],
+        "--n": sample + ["--n", "0"],
+        "--cutoff": sample + ["--n", "8", "--measure", "gibbs", "--cutoff", "-1"],
+    }
+    for flag, argv in bad_calls.items():
+        assert cli_entry(argv) == EXIT_USAGE, flag
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        assert payload["error"] == "usage" and flag in payload["message"], payload
+    assert not (tmp_path / "s").exists() and not (tmp_path / "e.kdve").exists()
+
+    # a ValueError raised by the numerics is still a numerical failure
+    too_big_step = solve + ["--init", "c1", "--modes", "64", "--dt", "0.5"]
+    assert cli_entry(too_big_step) == EXIT_NUMERIC
+    assert json.loads(capsys.readouterr().err)["error"] == "numeric"

@@ -1,8 +1,10 @@
+import json
 import struct
 
 import numpy as np
 import pytest
 
+from kdvlab.cli import EXIT_IO, cli_entry
 from kdvlab.kdve_io import KdveFormatError, read_ensemble, write_ensemble
 from kdvlab.measures import GaussianSpec, GibbsSpec, WeightedEnsemble, sample_gaussian, sample_gibbs
 
@@ -69,3 +71,42 @@ def test_format_errors(tmp_path):
     versioned.write_bytes(bytes(blob))
     with pytest.raises(KdveFormatError):
         read_ensemble(versioned)
+
+
+def _raw_kdve(path, m, n, body):
+    """A file with a valid header for (M, n) followed by the given f64 body."""
+    path.write_bytes(struct.pack("<4sIIQB", b"KDVE", 1, m, n, 0) + np.asarray(body, "<f8").tobytes())
+    return path
+
+
+def test_invalid_ensembles_are_format_errors(tmp_path):
+    # (M, n, body) per file: each body has the size its header announces
+    cases = {
+        "no_samples": (3, 0, []),
+        "no_modes": (0, 2, [0.5, 0.5]),
+        "weights_off_one": (1, 2, [0.5, 0.1, 0.0, 0.25, 0.1, 0.0]),
+        "negative_weight": (1, 2, [1.5, 0.1, 0.0, -0.5, 0.1, 0.0]),
+        "nan_weight": (1, 2, [np.nan, 0.1, 0.0, 1.0, 0.1, 0.0]),
+        "nan_coefficient": (1, 2, [0.5, np.nan, 0.0, 0.5, 0.1, 0.0]),
+        "inf_coefficient": (1, 2, [0.5, 0.1, 0.0, 0.5, 0.1, -np.inf]),
+    }
+    for name, (m, n, body) in cases.items():
+        path = _raw_kdve(tmp_path / f"{name}.kdve", m, n, body)
+        with pytest.raises(KdveFormatError):
+            read_ensemble(path)
+    # the same layout with valid numbers reads back
+    ok = read_ensemble(_raw_kdve(tmp_path / "ok.kdve", 1, 2, [0.5, 0.1, 0.0, 0.5, 0.1, 0.2]))
+    assert ok.n == 2 and ok.n_modes == 1 and ok.coeffs[1, 0] == 0.1 + 0.2j
+
+
+def test_inspect_rejects_invalid_ensembles_with_exit_4(tmp_path, capsys):
+    for name, m, n, body in (
+        ("nan.kdve", 1, 1, [1.0, np.nan, 0.0]),
+        ("empty.kdve", 2, 0, []),
+        ("weights.kdve", 1, 1, [0.5, 0.1, 0.0]),
+    ):
+        path = _raw_kdve(tmp_path / name, m, n, body)
+        assert cli_entry(["inspect", "--file", str(path)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "io"

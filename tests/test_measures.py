@@ -184,3 +184,11 @@ def test_pushforward_keeps_weights_and_dead_points():
     assert np.array_equal(out.coeffs[dead][:, :8], ens.coeffs[dead])
     live = ~dead
     assert np.any(np.abs(out.coeffs[live][:, :8] - ens.coeffs[live]) > 1e-12)
+
+
+def test_weighted_ensemble_rejects_non_finite_coefficients():
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        coeffs = np.zeros((2, 3), dtype=complex)
+        coeffs[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            WeightedEnsemble(coeffs, [0.5, 0.5])

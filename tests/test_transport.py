@@ -15,6 +15,7 @@ from kdvlab.transport import (
     combined_metric,
     combined_metric_parts,
     cost_matrix,
+    plan_cost,
     pushforward_cost,
     wasserstein_inf,
     wasserstein_p_entropic,
@@ -473,3 +474,24 @@ def test_pruned_pushforward_cost_equals_dense_reference():
 def test_pruned_metric_of_an_ensemble_with_itself_is_zero():
     a, _ = sparse_pair()
     assert combined_metric(a, a, 0.25, 2.0) == 0.0
+
+
+def test_pushforward_cost_is_plan_cost_on_the_evolved_layouts():
+    a, b = sparse_pair()
+    cfg = SolverConfig(n_modes=16)
+    s, p = 0.25, 2.0
+    _, plan_p = wasserstein_p_exact(a, b, s, p)
+    _, plan_inf = wasserstein_inf(a, b)
+    for plan in (plan_p, plan_inf):
+        for t in (0.0, 0.05):
+            xa, xb = a.padded(b.n_modes).coeffs, b.coeffs
+            if t != 0.0:
+                xa, xb = evolve_many(xa, t, cfg), evolve_many(xb, t, cfg)
+            want = plan_cost(a.replace(coeffs=xa), b.replace(coeffs=xb), plan, t, s, p)
+            assert pushforward_cost(a, b, plan, t, cfg, s, p) == want  # every bit
+            # rows and columns of zero weight are never priced
+            ya, yb = xa.copy(), xb.copy()
+            ya[a.weights == 0] = 1e3
+            yb[b.weights == 0] = -1e3
+            junk = plan_cost(a.replace(coeffs=ya), b.replace(coeffs=yb), plan, t, s, p)
+            assert junk == want
