@@ -69,16 +69,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive(kind):
-    """argparse type for a positive int or float."""
+def _checked(kind, accept, what: str):
+    """argparse type for an int or float that must satisfy accept."""
 
     def convert(text: str):
         try:
             value = kind(text)
         except ValueError:
-            value = 0
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"expected a positive {kind.__name__}, got {text!r}")
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected a {what}, got {text!r}")
         return value
 
     return convert
@@ -96,8 +96,9 @@ def _usage_type(parse):
     return convert
 
 
-_positive_int = _positive(int)
-_positive_float = _positive(float)
+_positive_int = _checked(int, lambda v: v > 0, "positive int")
+_positive_float = _checked(float, lambda v: v > 0, "positive float")
+_non_negative_int = _checked(int, lambda v: v >= 0, "non-negative int")
 _solver_modes = _usage_type(lambda text: SolverConfig(n_modes=int(text)).n_modes)
 
 
@@ -138,6 +139,12 @@ _init_field = _usage_type(parse_init)
 
 
 def _cmd_solve(args) -> int:
+    if np.any(args.init.modes[args.modes :] != 0):
+        return _fail(
+            "usage",
+            f"argument --init: carries modes above the solver truncation --modes {args.modes}",
+            EXIT_USAGE,
+        )
     cfg = SolverConfig(n_modes=args.modes, dt=args.dt, dealias=not args.no_dealias)
     times = np.linspace(args.t / args.samples, args.t, args.samples)
     traj = trajectory(args.init, times, cfg)
@@ -273,7 +280,7 @@ def build_parser() -> _Parser:
     p_sample.add_argument("--p", type=float, default=2.0)
     p_sample.add_argument("--cutoff", type=_positive_float, default=1.0)
     p_sample.add_argument("--coeff", type=float, default=1.0 / 6.0)
-    p_sample.add_argument("--projection", type=int, default=None)
+    p_sample.add_argument("--projection", type=_non_negative_int, default=None)
     p_sample.add_argument("--resample", action="store_true")
     p_sample.add_argument("--out", type=str, required=True)
 
@@ -338,3 +345,7 @@ def main() -> None:
     except SystemExit:
         raise
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -319,6 +319,21 @@ def _perturb(ens: WeightedEnsemble, cfg: ExperimentConfig) -> WeightedEnsemble:
     return ens2
 
 
+def _require_perturbation(cfg: ExperimentConfig) -> None:
+    """Continuity and stability divide by the initial distance: it must not vanish.
+
+    Checked when the experiment runs rather than in the config itself, so a
+    zero-delta config can still build the identical pair that checks
+    :func:`_perturb`.
+    """
+    delta = cfg.perturbation_delta
+    if cfg.perturbation in ("mode_shift", "rescale") and not (math.isfinite(delta) and delta != 0):
+        raise ConfigError(
+            f"{cfg.experiment} with {cfg.perturbation} needs a finite nonzero "
+            f"perturbation_delta, got {delta!r}"
+        )
+
+
 def _measure_radii(cfg: ExperimentConfig, ens: WeightedEnsemble) -> dict:
     """The norm statistics entering the continuity envelope."""
     live = ens.weights > 0
@@ -343,6 +358,7 @@ def run_continuity(cfg: ExperimentConfig) -> ExperimentReport:
     estimate bounds the ratio from above by a constant of t and the norm
     radii, and states no trend in t.
     """
+    _require_perturbation(cfg)
     mu, _ = _base_ensemble(cfg)
     nu = _perturb(mu, cfg)
     solver = cfg.solver()
@@ -413,6 +429,7 @@ def run_stability(cfg: ExperimentConfig) -> ExperimentReport:
     evolved and the ratio of |nu^t - nu| to |nu - rho| is reported with the
     envelope ingredients of the perturbed ensemble.
     """
+    _require_perturbation(cfg)
     rho, _ = _base_ensemble(cfg)
     nu = _perturb(rho, cfg)
     solver = cfg.solver()

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import derive_seed, substream
+from .rng import derive_seed, substreams
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,8 @@ def bootstrap_weighted_mean(
         raise ValueError("values and weights must be matching nonempty arrays")
     base = derive_seed(seed, 0xB007)
     reps = np.empty(n_replicas)
-    for r in range(n_replicas):
-        idx = substream(base, r).integers(0, n, size=n)
+    for r, gen in enumerate(substreams(base, range(n_replicas))):
+        idx = gen.integers(0, n, size=n)
         w = weights[idx]
         total = w.sum()
         reps[r] = np.sum(w * values[idx]) / total if total > 0 else math.nan

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow, spectral
-from .rng import derive_seed, substream
+from .rng import derive_seed, substream, substreams
 from .spectral import BASIS_TO_MODE, TorusField
 
 
@@ -132,19 +132,20 @@ class WeightedEnsemble:
 
 def _gaussian_coeffs(spec: GaussianSpec, n: int) -> np.ndarray:
     m = spec.n_modes
+    z = np.empty((n, 2 * m))
+    for row, gen in zip(z, substreams(spec.seed, range(n))):
+        gen.standard_normal(out=row)
     scale = BASIS_TO_MODE / np.arange(1, m + 1, dtype=np.float64)
-    out = np.empty((n, m), dtype=np.complex128)
-    for i in range(n):
-        z = substream(spec.seed, i).standard_normal(2 * m)
-        out[i] = (z[:m] - 1j * z[m:]) * scale
-    return out
+    return (z[:, :m] - 1j * z[:, m:]) * scale
 
 
 def sample_gaussian(spec: GaussianSpec, n: int, s: float = 0.25, p: float = 2.0) -> WeightedEnsemble:
     """Draw n independent fields from the Gaussian measure, uniform weights.
 
     Sample i consumes only the substream (seed, i): first the M cosine
-    amplitudes h, then the M sine amplitudes l.  Results are identical
+    amplitudes h, then the M sine amplitudes l.  All n substreams come from
+    one re-keyed Philox (:func:`kdvlab.rng.substreams`), which draws exactly
+    what a generator built per sample would, so results are identical
     regardless of how the draw loop is scheduled.
     """
     if n < 1:
@@ -166,15 +167,13 @@ def expected_hs_norm_sq(n_modes: int, s: float) -> float:
 
 
 def _gibbs_weights_raw(coeffs: np.ndarray, spec: GibbsSpec) -> np.ndarray:
-    l2 = spectral.sobolev_norms_many(coeffs, 0.0)
-    proj = coeffs
+    # the cubic integral is priced only inside the cutoff; outside, f is 0 anyway
+    inside = spectral.sobolev_norms_many(coeffs, 0.0) <= spec.cutoff_radius
+    live = coeffs[inside]  # a copy: the projection below leaves coeffs alone
     if spec.projection is not None:
-        proj = coeffs.copy()
-        proj[:, spec.projection :] = 0.0
-    cubic = spectral.integral_u3_many(proj)
-    inside = l2 <= spec.cutoff_radius
+        live[:, spec.projection :] = 0.0
     out = np.zeros(coeffs.shape[0])
-    out[inside] = np.exp(spec.cubic_coefficient * cubic[inside])
+    out[inside] = np.exp(spec.cubic_coefficient * spectral.integral_u3_many(live))
     return out
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kdvlab
 from kdvlab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, cli_entry, parse_init
 from kdvlab.spectral import cosine_mode, sine_mode
 
@@ -143,3 +148,60 @@ def test_bad_argument_values_are_usage_errors(tmp_path, capsys):
     too_big_step = solve + ["--init", "c1", "--modes", "64", "--dt", "0.5"]
     assert cli_entry(too_big_step) == EXIT_NUMERIC
     assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+
+
+@pytest.mark.parametrize("experiment", ["continuity", "stability"])
+def test_vanishing_perturbation_is_a_config_error(tmp_path, capsys, experiment):
+    for perturbation, delta in [("mode_shift", "0"), ("rescale", "0.0"), ("mode_shift", "nan"),
+                                ("rescale", "inf")]:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"experiment = {experiment}\nmodes = 4\nensemble_size = 8\nsolver_modes = 16\n"
+            f"time_grid = 0.1\nperturbation = {perturbation}\nperturbation_delta = {delta}\n"
+        )
+        out = tmp_path / "run"
+        assert cli_entry(["experiment", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        assert payload["error"] == "config" and "perturbation_delta" in payload["message"]
+        assert not out.exists()
+
+
+def test_projection_and_init_above_the_truncation_are_usage_errors(tmp_path, capsys):
+    bad_calls = {
+        "--projection": ["sample", "--measure", "gibbs", "--n", "8", "--projection", "-1",
+                         "--out", str(tmp_path / "e.kdve")],
+        "--init": ["solve", "--t", "0.1", "--init", "c80", "--modes", "64",
+                   "--out", str(tmp_path / "s")],
+    }
+    for flag, argv in bad_calls.items():
+        assert cli_entry(argv) == EXIT_USAGE, flag
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        assert payload["error"] == "usage" and flag in payload["message"], payload
+    assert not (tmp_path / "s").exists() and not (tmp_path / "e.kdve").exists()
+    # a zero amplitude above the truncation is no usage error, nor is projection 0
+    assert cli_entry(["solve", "--t", "0.01", "--samples", "1", "--init", "c1+0*c80",
+                      "--modes", "64", "--out", str(tmp_path / "s")]) == EXIT_OK
+    assert cli_entry(["sample", "--measure", "gibbs", "--n", "64", "--projection", "0",
+                      "--cutoff", "10", "--out", str(tmp_path / "e.kdve")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("module", ["kdvlab", "kdvlab.cli"])
+def test_python_m_follows_the_exit_codes(tmp_path, module):
+    src = str(Path(kdvlab.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    missing = subprocess.run(
+        [sys.executable, "-m", module, "inspect", "--file", str(tmp_path / "missing.kdve")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert missing.returncode == EXIT_IO, missing.stderr
+    assert missing.stdout == ""
+    assert json.loads(missing.stderr)["error"] == "io"
+    usage = subprocess.run([sys.executable, "-m", module, "bogus"],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert usage.returncode == EXIT_USAGE
+    assert json.loads(usage.stderr)["error"] == "usage"

@@ -192,3 +192,50 @@ def test_weighted_ensemble_rejects_non_finite_coefficients():
         coeffs[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             WeightedEnsemble(coeffs, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("m", [1, 5, 16])
+@pytest.mark.parametrize("seed", [0, 2**63 + 7, 0xDEADBEEFCAFEBABE])
+def test_gaussian_coeffs_match_the_per_substream_reference(seed, m):
+    from kdvlab.measures import _gaussian_coeffs
+    from kdvlab.spectral import BASIS_TO_MODE
+
+    n = 96
+    scale = BASIS_TO_MODE / np.arange(1, m + 1, dtype=np.float64)
+    expect = np.empty((n, m), dtype=np.complex128)
+    for i in range(n):
+        z = substream(seed, i).standard_normal(2 * m)
+        expect[i] = (z[:m] - 1j * z[m:]) * scale
+    assert _gaussian_coeffs(GaussianSpec(n_modes=m, seed=seed), n).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("projection", [None, 3])
+def test_gibbs_weights_price_the_cubic_inside_the_cutoff_only(projection, monkeypatch):
+    from kdvlab import spectral
+    from kdvlab.measures import _gaussian_coeffs, _gibbs_weights_raw
+
+    spec = GibbsSpec(GaussianSpec(n_modes=8, seed=5), cutoff_radius=1.2, projection=projection)
+    coeffs = _gaussian_coeffs(spec.base, 400)
+    before = coeffs.copy()
+    full = coeffs.copy()
+    if projection is not None:
+        full[:, projection:] = 0.0
+    inside = spectral.sobolev_norms_many(coeffs, 0.0) <= spec.cutoff_radius
+    assert 0 < inside.sum() < coeffs.shape[0]
+    expect = np.where(
+        inside, np.exp(spec.cubic_coefficient * spectral.integral_u3_many(full)), 0.0
+    )
+
+    seen = []
+    integral = spectral.integral_u3_many
+
+    def recording(rows):
+        seen.append(rows.copy())
+        return integral(rows)
+
+    monkeypatch.setattr(spectral, "integral_u3_many", recording)
+    raw = _gibbs_weights_raw(coeffs, spec)
+    assert raw.tobytes() == expect.tobytes()
+    assert np.all(raw[~inside] == 0.0) and np.all(raw[inside] > 0.0)
+    assert len(seen) == 1 and np.array_equal(seen[0], full[inside])
+    assert np.array_equal(coeffs, before)
