@@ -75,7 +75,6 @@ from .transport import (
     combined_metric_parts,
     cost_matrix,
     plan_cost,
-    pushforward_cost,
     wasserstein_inf,
     wasserstein_p_entropic,
     wasserstein_p_exact,

@@ -35,8 +35,6 @@ from .spectral import cosine_mode, linf_norm, sine_mode, zero_field
 from .transport import (
     SinkhornConvergenceError,
     combined_metric_parts,
-    cost_matrix,
-    wasserstein_p_exact,
     write_distance_json,
     write_plan_csv,
 )
@@ -176,7 +174,7 @@ def _cmd_solve(args) -> int:
 def _cmd_sample(args) -> int:
     gauss = GaussianSpec(n_modes=args.modes, seed=args.seed)
     if args.measure == "gaussian":
-        ens = sample_gaussian(gauss, args.n, args.s, args.p)
+        ens = sample_gaussian(gauss, args.n)
         kappa = None
     else:
         spec = GibbsSpec(
@@ -185,7 +183,7 @@ def _cmd_sample(args) -> int:
             cutoff_radius=args.cutoff,
             projection=args.projection,
         )
-        ens, kappa = sample_gibbs(spec, args.n, args.s, args.p, resample=args.resample)
+        ens, kappa = sample_gibbs(spec, args.n, resample=args.resample)
     write_ensemble(args.out, ens)
     print(
         json.dumps(
@@ -203,18 +201,15 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    a = read_ensemble(args.a, args.s, args.p)
-    b = read_ensemble(args.b, args.s, args.p)
+    a = read_ensemble(args.a)
+    b = read_ensemble(args.b)
     parts = combined_metric_parts(a, b, args.s, args.p, args.backend, args.epsilon)
-    _, plan = wasserstein_p_exact(a, b, args.s, args.p)
     print(json.dumps({"distance": parts.total, "w_inf": parts.w_inf, "w_p": parts.w_p,
                       "backend": parts.backend}, sort_keys=True))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        write_distance_json(os.path.join(args.out, "distance.json"), parts, plan)
-        write_plan_csv(
-            os.path.join(args.out, "plan.csv"), plan, cost_matrix(a, b, args.s, args.p)
-        )
+        write_distance_json(os.path.join(args.out, "distance.json"), parts)
+        write_plan_csv(os.path.join(args.out, "plan.csv"), parts.plan, a, b, args.s, args.p)
     return EXIT_OK
 
 
@@ -276,8 +271,6 @@ def build_parser() -> _Parser:
     p_sample.add_argument("--modes", type=_positive_int, default=16)
     p_sample.add_argument("--n", type=_positive_int, required=True)
     p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--s", type=float, default=0.25)
-    p_sample.add_argument("--p", type=float, default=2.0)
     p_sample.add_argument("--cutoff", type=_positive_float, default=1.0)
     p_sample.add_argument("--coeff", type=float, default=1.0 / 6.0)
     p_sample.add_argument("--projection", type=_non_negative_int, default=None)

@@ -14,8 +14,9 @@ import hashlib
 import json
 import math
 import os
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,11 +41,7 @@ from .spectral import (
     linf_norms_many,
     sobolev_norm,
 )
-from .transport import (
-    combined_metric_parts,
-    plan_cost,
-    wasserstein_p_exact,
-)
+from .transport import combined_metric_parts, plan_cost
 
 
 class ConfigError(ValueError):
@@ -178,20 +175,20 @@ def _coerce(name: str, kind, raw: str):
     raise ConfigError(f"unsupported type for key {name}")
 
 
+def _key_kinds() -> dict:
+    """Value type of each config key: its field type, ``X | None`` read as X."""
+    kinds = {}
+    for name, hint in typing.get_type_hints(ExperimentConfig).items():
+        args = typing.get_args(hint)
+        kinds[name] = args[0] if type(None) in args else hint
+    return kinds
+
+
+_KEY_KINDS = _key_kinds()
+
+
 def parse_config_text(text: str, **overrides) -> ExperimentConfig:
     """Parse ``key = value`` lines; '#' starts a comment; keys match the schema."""
-    schema = {f.name: f.type for f in fields(ExperimentConfig)}
-    kinds = {
-        "experiment": str, "seed": int, "out_dir": str, "threads": int, "format": str,
-        "measure": str, "modes": int, "ensemble_size": int, "cutoff_radius": float,
-        "cubic_coefficient": float, "resample": bool, "s": float, "p": float,
-        "solver_modes": int, "dt": float, "dealias": bool, "cfl_constant": float,
-        "time_grid": tuple[float, ...], "horizon": float, "perturbation": str,
-        "perturbation_mode": int, "perturbation_delta": float,
-        "projection_grid": tuple[int, ...], "sigma": float,
-        "tail_functionals": tuple[str, ...], "tail_grid_points": int,
-        "bootstrap_replicas": int, "backend": str, "epsilon": float,
-    }
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -200,9 +197,9 @@ def parse_config_text(text: str, **overrides) -> ExperimentConfig:
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in schema:
+        if key not in _KEY_KINDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, kinds[key], raw)
+        values[key] = _coerce(key, _KEY_KINDS[key], raw)
     values.update(overrides)
     try:
         return ExperimentConfig(**values)
@@ -229,10 +226,13 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """A run's series, summary and provenance, plus the base ensemble it ran on."""
+
     name: str
     series: list[dict]
     summary: dict
     provenance: dict
+    ensemble: WeightedEnsemble | None = field(default=None, compare=False, repr=False)
 
     def require_finite(self) -> None:
         def walk(obj, where):
@@ -297,12 +297,8 @@ def write_report(report: ExperimentReport, out_dir, fmt: str = "csv") -> None:
 
 def _base_ensemble(cfg: ExperimentConfig, seed: int | None = None) -> tuple[WeightedEnsemble, float | None]:
     if cfg.measure == "gaussian":
-        ens = sample_gaussian(cfg.gaussian_spec(seed), cfg.ensemble_size, cfg.s, cfg.p)
-        return ens, None
-    ens, kappa = sample_gibbs(
-        cfg.gibbs_spec(seed), cfg.ensemble_size, cfg.s, cfg.p, resample=cfg.resample
-    )
-    return ens, kappa
+        return sample_gaussian(cfg.gaussian_spec(seed), cfg.ensemble_size), None
+    return sample_gibbs(cfg.gibbs_spec(seed), cfg.ensemble_size, resample=cfg.resample)
 
 
 def _perturb(ens: WeightedEnsemble, cfg: ExperimentConfig) -> WeightedEnsemble:
@@ -363,7 +359,6 @@ def run_continuity(cfg: ExperimentConfig) -> ExperimentReport:
     nu = _perturb(mu, cfg)
     solver = cfg.solver()
     d0 = combined_metric_parts(mu, nu, cfg.s, cfg.p, cfg.backend, cfg.epsilon)
-    _, plan0 = wasserstein_p_exact(mu, nu, cfg.s, cfg.p)
     ra = _measure_radii(cfg, mu)
     rb = _measure_radii(cfg, nu)
     r1 = (ra["l2_sup"] + rb["l2_sup"]) ** 12
@@ -388,7 +383,7 @@ def run_continuity(cfg: ExperimentConfig) -> ExperimentReport:
         nu_t = pushforward(nu_t, t - t_prev, solver)
         t_prev = t
         dt_parts = combined_metric_parts(mu_t, nu_t, cfg.s, cfg.p, cfg.backend, cfg.epsilon)
-        bound = plan_cost(mu_t, nu_t, plan0, t, cfg.s, cfg.p)
+        bound = plan_cost(mu_t, nu_t, d0.plan, t, cfg.s, cfg.p)
         series.append(
             {
                 "t": t,
@@ -419,7 +414,7 @@ def run_continuity(cfg: ExperimentConfig) -> ExperimentReport:
         "bound_dominates": bound_ok,
         "backend": cfg.backend,
     }
-    return ExperimentReport("continuity", series, summary, _provenance(cfg))
+    return ExperimentReport("continuity", series, summary, _provenance(cfg), ensemble=mu)
 
 
 def run_stability(cfg: ExperimentConfig) -> ExperimentReport:
@@ -433,7 +428,7 @@ def run_stability(cfg: ExperimentConfig) -> ExperimentReport:
     rho, _ = _base_ensemble(cfg)
     nu = _perturb(rho, cfg)
     solver = cfg.solver()
-    d_base = combined_metric_parts(rho, nu, cfg.s, cfg.p, cfg.backend, cfg.epsilon)
+    d_base = combined_metric_parts(rho, nu, cfg.s, cfg.p, cfg.backend, cfg.epsilon).total
     rb = _measure_radii(cfg, nu)
     series = [{"t": 0.0, "distance": 0.0, "ratio": 0.0}]
     nu_t = nu
@@ -441,19 +436,18 @@ def run_stability(cfg: ExperimentConfig) -> ExperimentReport:
     for t in cfg.time_grid:
         nu_t = pushforward(nu_t, t - t_prev, solver)
         t_prev = t
-        dist = combined_metric_parts(nu, nu_t, cfg.s, cfg.p, cfg.backend, cfg.epsilon)
-        ratio = dist.total / d_base.total if d_base.total > 0 else math.inf
-        series.append({"t": t, "distance": dist.total, "ratio": ratio})
+        dist = combined_metric_parts(nu, nu_t, cfg.s, cfg.p, cfg.backend, cfg.epsilon).total
+        ratio = dist / d_base if d_base > 0 else math.inf
+        series.append({"t": t, "distance": dist, "ratio": ratio})
     finite_ratios = [row["ratio"] for row in series[1:] if math.isfinite(row["ratio"])]
     summary = {
-        "distance_to_reference": d_base.total,
+        "distance_to_reference": d_base,
         "max_ratio": max(finite_ratios) if finite_ratios else math.inf,
         "r1_l2_sup_pow12": (1.0 + rb["l2_sup"]) ** 12,
         "r2_hs_moment": rb["hs_moment"],
         "backend": cfg.backend,
     }
-    report = ExperimentReport("stability", series, summary, _provenance(cfg))
-    return report
+    return ExperimentReport("stability", series, summary, _provenance(cfg), ensemble=rho)
 
 
 def _null_band(cfg: ExperimentConfig, n_replicas: int) -> np.ndarray:
@@ -480,7 +474,7 @@ def run_invariance(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _run_invariance_linear(cfg: ExperimentConfig) -> ExperimentReport:
     """Push a Gaussian ensemble by the free group; per-mode moments must not move."""
-    ens = sample_gaussian(cfg.gaussian_spec(), cfg.ensemble_size, cfg.s, cfg.p)
+    ens = sample_gaussian(cfg.gaussian_spec(), cfg.ensemble_size)
     k = np.arange(1, ens.n_modes + 1, dtype=np.float64)
     base_moments = np.sum(ens.weights[:, None] * (NORM_FACTOR * np.abs(ens.coeffs) ** 2), axis=0)
     series = []
@@ -518,21 +512,26 @@ def _run_invariance_nonlinear(cfg: ExperimentConfig) -> ExperimentReport:
 
     l2_sq0 = ens.l2_norms() ** 2
     l2_sq1 = pushed.l2_norms() ** 2
-    cubic0 = integral_u3_many(ens.coeffs)
-    cubic1 = integral_u3_many(pushed.coeffs)
+    # dead draws weigh nothing, but the bootstrap resamples every index: price
+    # the cubic on the live rows and keep zeros in the full-length layout
+    live = ens.weights > 0
+    cubic0 = np.zeros(ens.n)
+    cubic1 = np.zeros(pushed.n)
+    cubic0[live] = integral_u3_many(ens.coeffs[live])
+    cubic1[live] = integral_u3_many(pushed.coeffs[live])
     boot_seed = derive_seed(cfg.seed, 0xB5)
     b_l2 = bootstrap_weighted_mean(l2_sq0, ens.weights, cfg.bootstrap_replicas, boot_seed)
     b_cu = bootstrap_weighted_mean(cubic0, ens.weights, cfg.bootstrap_replicas, boot_seed + 1)
     drift_l2 = abs(float(np.sum(pushed.weights * l2_sq1)) - b_l2.mean)
     drift_cu = abs(float(np.sum(pushed.weights * cubic1)) - b_cu.mean)
 
-    dist = combined_metric_parts(ens, pushed, cfg.s, cfg.p, cfg.backend, cfg.epsilon)
+    dist = combined_metric_parts(ens, pushed, cfg.s, cfg.p, cfg.backend, cfg.epsilon).total
     null = _null_band(cfg, cfg.bootstrap_replicas)
     lo, hi = np.percentile(null, [2.5, 97.5])
     series = [
         {
             "t": t_star,
-            "distance": dist.total,
+            "distance": dist,
             "null_lo95": float(lo),
             "null_hi95": float(hi),
             "l2_sq_mean": b_l2.mean,
@@ -551,13 +550,13 @@ def _run_invariance_nonlinear(cfg: ExperimentConfig) -> ExperimentReport:
         "cubic_drift": drift_cu,
         "cubic_se": b_cu.std_error,
         "cubic_drift_z": drift_cu / b_cu.std_error if b_cu.std_error > 0 else math.inf,
-        "distance": dist.total,
+        "distance": dist,
         "null_lo95": float(lo),
         "null_hi95": float(hi),
-        "inside_null_band": bool(lo <= dist.total <= hi),
+        "inside_null_band": bool(lo <= dist <= hi),
         "null_replicas": int(null.size),
     }
-    return ExperimentReport("invariance_nonlinear", series, summary, _provenance(cfg))
+    return ExperimentReport("invariance_nonlinear", series, summary, _provenance(cfg), ensemble=ens)
 
 
 def run_galerkin(cfg: ExperimentConfig) -> ExperimentReport:
@@ -567,7 +566,7 @@ def run_galerkin(cfg: ExperimentConfig) -> ExperimentReport:
     projection tail genuinely controls the data error); errors against the
     full-band reference are fitted log-log in the band size.
     """
-    ens = sample_gaussian(cfg.gaussian_spec(), 1, cfg.s, cfg.p)
+    ens = sample_gaussian(cfg.gaussian_spec(), 1)
     u0 = ens.field(0)
     solver = cfg.solver()
     if max(cfg.projection_grid) > solver.n_modes:
@@ -600,7 +599,7 @@ def run_galerkin(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_tails(cfg: ExperimentConfig) -> ExperimentReport:
     """Gaussian tail-decay fits for the configured norm functionals."""
-    ens = sample_gaussian(cfg.gaussian_spec(), cfg.ensemble_size, cfg.s, cfg.p)
+    ens = sample_gaussian(cfg.gaussian_spec(), cfg.ensemble_size)
     series = []
     summary = {}
     for functional in cfg.tail_functionals:
@@ -625,7 +624,7 @@ def run_tails(cfg: ExperimentConfig) -> ExperimentReport:
             )
         summary[f"{functional}_slope"] = fit.slope
         summary[f"{functional}_r_squared"] = fit.r_squared
-    return ExperimentReport("tails", series, summary, _provenance(cfg))
+    return ExperimentReport("tails", series, summary, _provenance(cfg), ensemble=ens)
 
 
 _RUNNERS = {
@@ -643,11 +642,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_and_write(cfg: ExperimentConfig, out_dir=None) -> ExperimentReport:
-    """Run the configured experiment and persist its report and ensembles."""
+    """Run the configured experiment; persist its report and, if any, its base ensemble."""
     report = run_experiment(cfg)
     target = out_dir if out_dir is not None else cfg.out_dir
     write_report(report, target, cfg.format)
-    if cfg.experiment in ("continuity", "stability", "invariance_nonlinear", "tails"):
-        ens, _ = _base_ensemble(cfg)
-        write_ensemble(os.path.join(target, "base.kdve"), ens)
+    if report.ensemble is not None:
+        write_ensemble(os.path.join(target, "base.kdve"), report.ensemble)
     return report

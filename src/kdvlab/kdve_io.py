@@ -45,7 +45,7 @@ def write_ensemble(path, ens: WeightedEnsemble) -> None:
         fh.write(record.tobytes())
 
 
-def read_ensemble(path, s: float = 0.25, p: float = 2.0) -> WeightedEnsemble:
+def read_ensemble(path) -> WeightedEnsemble:
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -67,7 +67,7 @@ def read_ensemble(path, s: float = 0.25, p: float = 2.0) -> WeightedEnsemble:
         coeffs = record[:, 1::2] + 1j * record[:, 2::2]
     prov = {"kind": "file", "resampled": bool(flags & FLAG_RESAMPLED)}
     try:
-        return WeightedEnsemble(coeffs, weights, s, p, prov)
+        return WeightedEnsemble(coeffs, weights, prov)
     except ValueError as exc:
         # an empty ensemble, bad weights or non-finite numbers are a bad file
         raise KdveFormatError(f"not a valid ensemble: {exc}") from None

@@ -4,8 +4,8 @@ The base measure is the law of phi = sum_{n=1..M} (h_n c_n + l_n s_n) / n
 with independent standard normal h_n, l_n.  The Gibbs measure reweights it by
 f(u) = 1[|u|_{L2} <= r] * exp(kappa3 * integral of (P_N u)^3), represented
 here by self-normalised importance weights on Gaussian draws.  Empirical
-measures are carried as weighted ensembles together with the (s, p) metric
-context they will be compared in.
+measures are carried as weighted ensembles; the metric they are compared in
+is chosen by the caller of each distance.
 """
 
 from __future__ import annotations
@@ -65,11 +65,10 @@ class WeightedEnsemble:
     """Finite weighted collection of fields standing in for a measure.
 
     Samples are stored as a (n, M) array of finite mode amplitudes; weights
-    are nonnegative and sum to one.  The (s, p) pair records the metric context
-    the ensemble is meant to be compared in.
+    are nonnegative and sum to one.
     """
 
-    def __init__(self, coeffs, weights, s: float = 0.25, p: float = 2.0, provenance=None):
+    def __init__(self, coeffs, weights, provenance=None):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.ndim != 2 or coeffs.shape[0] == 0 or coeffs.shape[1] == 0:
             raise ValueError("ensemble needs a nonempty (n, M) coefficient array")
@@ -84,8 +83,6 @@ class WeightedEnsemble:
             raise ValueError("weights must sum to one within 1e-12")
         self.coeffs = coeffs
         self.weights = weights
-        self.s = float(s)
-        self.p = float(p)
         self.provenance = dict(provenance or {})
 
     @property
@@ -118,14 +115,12 @@ class WeightedEnsemble:
             return self
         out = np.zeros((self.n, m), dtype=np.complex128)
         out[:, : self.n_modes] = self.coeffs
-        return WeightedEnsemble(out, self.weights, self.s, self.p, self.provenance)
+        return WeightedEnsemble(out, self.weights, self.provenance)
 
     def replace(self, coeffs=None, weights=None, provenance=None) -> "WeightedEnsemble":
         return WeightedEnsemble(
             self.coeffs if coeffs is None else coeffs,
             self.weights if weights is None else weights,
-            self.s,
-            self.p,
             self.provenance if provenance is None else provenance,
         )
 
@@ -139,7 +134,7 @@ def _gaussian_coeffs(spec: GaussianSpec, n: int) -> np.ndarray:
     return (z[:, :m] - 1j * z[:, m:]) * scale
 
 
-def sample_gaussian(spec: GaussianSpec, n: int, s: float = 0.25, p: float = 2.0) -> WeightedEnsemble:
+def sample_gaussian(spec: GaussianSpec, n: int) -> WeightedEnsemble:
     """Draw n independent fields from the Gaussian measure, uniform weights.
 
     Sample i consumes only the substream (seed, i): first the M cosine
@@ -153,7 +148,7 @@ def sample_gaussian(spec: GaussianSpec, n: int, s: float = 0.25, p: float = 2.0)
     coeffs = _gaussian_coeffs(spec, n)
     weights = np.full(n, 1.0 / n)
     prov = {"kind": "gaussian", "seed": spec.seed, "n_modes": spec.n_modes, "resampled": False}
-    return WeightedEnsemble(coeffs, weights, s, p, prov)
+    return WeightedEnsemble(coeffs, weights, prov)
 
 
 def expected_hs_norm_sq(n_modes: int, s: float) -> float:
@@ -182,9 +177,7 @@ def gibbs_weight(u: TorusField, spec: GibbsSpec) -> float:
     return float(_gibbs_weights_raw(u.modes[None, :], spec)[0])
 
 
-def sample_gibbs(
-    spec: GibbsSpec, n: int, s: float = 0.25, p: float = 2.0, resample: bool = False
-) -> tuple[WeightedEnsemble, float]:
+def sample_gibbs(spec: GibbsSpec, n: int, resample: bool = False) -> tuple[WeightedEnsemble, float]:
     """Importance-weighted Gibbs ensemble plus the normalisation estimate.
 
     Draws phi_i from the Gaussian base, sets w_i proportional to f(phi_i) and
@@ -219,7 +212,7 @@ def sample_gibbs(
         coeffs = coeffs[idx]
         weights = np.full(n, 1.0 / n)
         prov["resampled"] = True
-    return WeightedEnsemble(coeffs, weights, s, p, prov), float(kappa)
+    return WeightedEnsemble(coeffs, weights, prov), float(kappa)
 
 
 def pushforward(ens: WeightedEnsemble, t: float, cfg: flow.SolverConfig) -> WeightedEnsemble:
@@ -236,7 +229,7 @@ def pushforward(ens: WeightedEnsemble, t: float, cfg: flow.SolverConfig) -> Weig
     out[~live, :keep] = ens.coeffs[~live, :keep]
     prov = dict(ens.provenance)
     prov["evolved_t"] = prov.get("evolved_t", 0.0) + t
-    return WeightedEnsemble(out, ens.weights, ens.s, ens.p, prov)
+    return WeightedEnsemble(out, ens.weights, prov)
 
 
 def pushforward_linear(ens: WeightedEnsemble, t: float) -> WeightedEnsemble:
@@ -244,7 +237,7 @@ def pushforward_linear(ens: WeightedEnsemble, t: float) -> WeightedEnsemble:
     out = flow.linear_flow_many(ens.coeffs, t)
     prov = dict(ens.provenance)
     prov["evolved_t_linear"] = prov.get("evolved_t_linear", 0.0) + t
-    return WeightedEnsemble(out, ens.weights, ens.s, ens.p, prov)
+    return WeightedEnsemble(out, ens.weights, prov)
 
 
 _FUNCTIONALS = ("linf", "l2", "hs")

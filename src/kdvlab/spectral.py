@@ -123,19 +123,12 @@ def grid(n: int) -> np.ndarray:
 
 
 def evaluate(u: TorusField, n: int | None = None) -> np.ndarray:
-    """Sample u on an equispaced grid of n points (default 8M, always real)."""
-    m = u.n_modes
-    if n is None:
-        n = max(8 * m, 32)
-    if n < 2 * m + 1:
-        raise ValueError(f"grid of {n} points cannot resolve {m} modes")
-    spec = np.zeros(n // 2 + 1, dtype=np.complex128)
-    spec[1 : m + 1] = u.modes * MODE_TO_EXP
-    return np.fft.irfft(spec, n) * n
+    """Sample u on an equispaced grid of n points (default max(8M, 32), always real)."""
+    return evaluate_many(u.modes, max(8 * u.n_modes, 32) if n is None else n)
 
 
 def evaluate_many(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Vectorised :func:`evaluate` for a (batch, M) array of mode amplitudes."""
+    """Sample each row of a (batch, M) amplitude array on an equispaced grid of n points."""
     m = coeffs.shape[-1]
     if n < 2 * m + 1:
         raise ValueError(f"grid of {n} points cannot resolve {m} modes")
@@ -146,10 +139,7 @@ def evaluate_many(coeffs: np.ndarray, n: int) -> np.ndarray:
 
 def sobolev_norm(u: TorusField, s: float) -> float:
     """Homogeneous H^s norm; s = 0 is the L2 norm, normalised so |c_1| = 1."""
-    if s < 0:
-        raise ValueError("regularity exponent must be >= 0")
-    k = np.arange(1, u.n_modes + 1, dtype=np.float64)
-    return float(np.sqrt(NORM_FACTOR * np.sum(k ** (2 * s) * np.abs(u.modes) ** 2)))
+    return float(sobolev_norms_many(u.modes, s))
 
 
 def sobolev_norms_many(coeffs: np.ndarray, s: float) -> np.ndarray:
@@ -161,15 +151,16 @@ def sobolev_norms_many(coeffs: np.ndarray, s: float) -> np.ndarray:
 
 
 def linf_norm(u: TorusField) -> float:
-    """Sup norm approximated on an 8x-oversampled equispaced grid.
+    """Sup norm approximated on an 8x-oversampled equispaced grid."""
+    return float(linf_norms_many(u.modes))
+
+
+def linf_norms_many(coeffs: np.ndarray) -> np.ndarray:
+    """Sup norm of each row on an 8x-oversampled equispaced grid (at least 32 points).
 
     Exact maximisation of a trigonometric polynomial is not attempted; the
     grid error is spectrally small at this oversampling.
     """
-    return float(np.max(np.abs(evaluate(u))))
-
-
-def linf_norms_many(coeffs: np.ndarray) -> np.ndarray:
     n = max(8 * coeffs.shape[-1], 32)
     return np.max(np.abs(evaluate_many(coeffs, n)), axis=-1)
 

@@ -17,9 +17,10 @@ the positive-weight rows and columns first and builds distances on that
 live block only; a Gibbs ensemble keeps only a few percent of its draws.
 Plans are returned in the full (n, m) layout with dead rows and columns at
 zero, and values are priced over that layout, so they do not depend on the
-pruning.  ``plan_cost`` likewise prices only the pairs in the plan's
-support, on ensembles already evolved to time t; ``pushforward_cost``
-evolves both full layouts from time zero first.
+pruning.  ``combined_metric_parts`` returns the plan of the order-p value it
+reports, so a caller never solves the same pair twice.  ``plan_cost``
+prices only the pairs in a plan's support, on ensembles already evolved to
+time t, and ``write_plan_csv`` prices the same pairs at the time of the plan.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -35,7 +36,6 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse.csgraph import maximum_bipartite_matching, maximum_flow
 from scipy.special import logsumexp
 
-from .flow import SolverConfig, evolve_many
 from .measures import WeightedEnsemble
 from .spectral import NORM_FACTOR
 
@@ -409,9 +409,12 @@ def wasserstein_inf(a: WeightedEnsemble, b: WeightedEnsemble) -> tuple[float, Tr
 
 @dataclass(frozen=True)
 class CombinedDistance:
+    """Bottleneck and order-p parts of the combined metric, with the order-p plan."""
+
     w_inf: float
     w_p: float
     backend: str
+    plan: TransportPlan = field(compare=False, repr=False)
     epsilon: float | None = None
 
     @property
@@ -427,18 +430,24 @@ def combined_metric_parts(
     backend: str = "exact",
     epsilon: float | None = None,
 ) -> CombinedDistance:
+    """Combined metric split into its parts; ``plan`` is the order-p plan solved for.
+
+    With the entropic backend the plan is the rounded Sinkhorn plan whose
+    price is the reported ``w_p``.
+    """
     w_inf, _ = wasserstein_inf(a, b)
     if backend == "exact":
-        w_p, _ = wasserstein_p_exact(a, b, s, p)
+        w_p, plan = wasserstein_p_exact(a, b, s, p)
     elif backend == "entropic":
         if epsilon is None:
             cm = cost_matrix(a, b, s, p)
             epsilon = 0.01 * float(np.median(cm.entries))
             epsilon = max(epsilon, 1e-12)
-        w_p = wasserstein_p_entropic(a, b, s, p, epsilon).value
+        res = wasserstein_p_entropic(a, b, s, p, epsilon)
+        w_p, plan = res.value, res.plan
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    return CombinedDistance(w_inf=w_inf, w_p=w_p, backend=backend, epsilon=epsilon)
+    return CombinedDistance(w_inf=w_inf, w_p=w_p, backend=backend, epsilon=epsilon, plan=plan)
 
 
 def combined_metric(
@@ -464,30 +473,6 @@ class PushforwardCost:
     @property
     def combined_bound(self) -> float:
         return self.w_inf_bound + self.w_p_bound
-
-
-def pushforward_cost(
-    a: WeightedEnsemble,
-    b: WeightedEnsemble,
-    plan: TransportPlan,
-    t: float,
-    cfg: SolverConfig,
-    s: float,
-    p: float,
-) -> PushforwardCost:
-    """Evolve every support point from time zero and price the same plan at time t.
-
-    A coupling pushed through the flow stays a coupling of the evolved
-    ensembles, so both reported numbers upper-bound the corresponding
-    re-optimised distances at time t.  Both full layouts are evolved, dead
-    rows included; a caller that already holds the evolved ensembles should
-    price them with :func:`plan_cost` instead.
-    """
-    xa, xb = _common_modes(a, b)
-    if t != 0.0:
-        xa = evolve_many(xa, t, cfg)
-        xb = evolve_many(xb, t, cfg)
-    return plan_cost(a.replace(coeffs=xa), b.replace(coeffs=xb), plan, t, s, p)
 
 
 def plan_cost(
@@ -518,21 +503,26 @@ def plan_cost(
 # --- persistence ------------------------------------------------------------
 
 
-def write_plan_csv(path, plan: TransportPlan, cost: CostMatrix) -> None:
-    """Plan support as CSV rows (i, j, mass, cost)."""
+def write_plan_csv(
+    path, plan: TransportPlan, a: WeightedEnsemble, b: WeightedEnsemble, s: float, p: float
+) -> None:
+    """Plan support as CSV rows (i, j, mass, cost), cost = |a_i - b_j|_{H^s}^p.
+
+    Only the support pairs are priced, with the same bits as the
+    corresponding entries of :func:`cost_matrix`.
+    """
+    xa, xb = _common_modes(a, b)
+    rows, cols = np.nonzero(plan.plan > _MASS_EPS)
+    cost = _pair_distances(xa, xb, rows, cols, s) ** p
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "mass", "cost"])
-        for i, j in zip(*np.nonzero(plan.plan > _MASS_EPS)):
-            writer.writerow([int(i), int(j), repr(plan.plan[i, j]), repr(cost.entries[i, j])])
+        for i, j, c in zip(rows, cols, cost):
+            writer.writerow([int(i), int(j), repr(plan.plan[i, j]), repr(c)])
 
 
-def write_distance_json(
-    path,
-    distance: CombinedDistance,
-    plan: TransportPlan | None = None,
-    iterations: int | None = None,
-) -> None:
+def write_distance_json(path, distance: CombinedDistance, iterations: int | None = None) -> None:
+    """The distance, its parts and the marginal residuals of its order-p plan as JSON."""
     payload = {
         "distance": distance.total,
         "w_inf": distance.w_inf,
@@ -540,9 +530,7 @@ def write_distance_json(
         "backend": distance.backend,
         "epsilon": distance.epsilon,
         "iterations": iterations,
-        "marginal_residuals": None
-        if plan is None
-        else [plan.row_residual, plan.col_residual],
+        "marginal_residuals": [distance.plan.row_residual, distance.plan.col_residual],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

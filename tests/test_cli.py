@@ -205,3 +205,46 @@ def test_python_m_follows_the_exit_codes(tmp_path, module):
                            capture_output=True, text=True, env=env, timeout=120)
     assert usage.returncode == EXIT_USAGE
     assert json.loads(usage.stderr)["error"] == "usage"
+
+
+def test_distance_solves_exact_transport_once_and_prices_only_the_plan(tmp_path, capsys, count_calls):
+    import csv
+
+    from kdvlab.kdve_io import read_ensemble
+    from kdvlab.transport import cost_matrix, wasserstein_p_exact
+
+    files = []
+    for seed in (1, 2):
+        files.append(tmp_path / f"g{seed}.kdve")
+        assert cli_entry(["sample", "--measure", "gibbs", "--modes", "6", "--n", "96",
+                          "--seed", str(seed), "--out", str(files[-1])]) == EXIT_OK
+    capsys.readouterr()
+    solves = count_calls(wasserstein_p_exact)
+    dense = count_calls(cost_matrix)
+    out = tmp_path / "dist"
+    rc = cli_entry(["distance", "--a", str(files[0]), "--b", str(files[1]), "--out", str(out)])
+    assert rc == EXIT_OK
+    assert len(solves) == 1 and dense == []
+
+    a, b = read_ensemble(files[0]), read_ensemble(files[1])
+    assert np.any(a.weights == 0) and np.any(b.weights == 0)  # dead draws are present
+    value, plan = wasserstein_p_exact(a, b, 0.25, 2.0)
+    saved = json.loads((out / "distance.json").read_text())
+    assert saved["w_p"] == value
+    assert saved["marginal_residuals"] == [plan.row_residual, plan.col_residual]
+    cost = cost_matrix(a, b, 0.25, 2.0).entries
+    with open(out / "plan.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    support = list(zip(*np.nonzero(plan.plan > 1e-15)))
+    assert [(int(r["i"]), int(r["j"])) for r in rows] == [(int(i), int(j)) for i, j in support]
+    for r in rows:
+        i, j = int(r["i"]), int(r["j"])
+        assert r["mass"] == repr(plan.plan[i, j]) and r["cost"] == repr(cost[i, j])
+
+
+def test_sample_has_no_metric_flags(tmp_path, capsys):
+    for flag in ("--s", "--p"):
+        out = tmp_path / "e.kdve"
+        assert cli_entry(["sample", "--n", "8", flag, "0.3", "--out", str(out)]) == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"] == "usage"
+        assert not out.exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -276,7 +277,6 @@ def test_continuity_bound_dominates_off_the_step_grid(seed):
 
 def test_continuity_evolves_only_live_rows_once_per_grid_step(monkeypatch):
     import kdvlab.flow
-    import kdvlab.transport
     from kdvlab.experiments import _base_ensemble, _perturb
 
     cfg = parse_config_text(
@@ -296,9 +296,86 @@ def test_continuity_evolves_only_live_rows_once_per_grid_step(monkeypatch):
         rows.append(np.atleast_2d(coeffs).shape[0])
         return evolve_many(coeffs, t, solver)
 
-    # every name the package reaches the batched flow through
+    # the one name the package reaches the batched flow through
     monkeypatch.setattr(kdvlab.flow, "evolve_many", spy)
-    monkeypatch.setattr(kdvlab.transport, "evolve_many", spy)
     run_continuity(cfg)
     assert len(rows) == 2 * len(cfg.time_grid)
     assert sum(rows) == 2 * live * len(cfg.time_grid)
+
+
+def test_every_config_field_parses_from_text():
+    # a field whose type the parser does not know fails here
+    lines, expected = [], {}
+    for f in dataclasses.fields(ExperimentConfig):
+        value = f.default
+        if value is None:  # optional floats: None has no text form, a number does
+            value = 0.125
+        if isinstance(value, tuple):
+            text = ", ".join(str(v) for v in value)
+        elif isinstance(value, bool):
+            text = "true" if value else "false"
+        else:
+            text = repr(value) if isinstance(value, float) else str(value)
+        lines.append(f"{f.name} = {text}")
+        expected[f.name] = value
+    cfg = parse_config_text("\n".join(lines))
+    assert dataclasses.asdict(cfg) == expected
+    for key in ("dt", "epsilon"):
+        with pytest.raises(ConfigError):
+            parse_config_text(f"{key} = none\n")
+
+
+SMALL_CONTINUITY = (
+    "experiment = continuity\nmeasure = gibbs\nmodes = 8\nensemble_size = 64\n"
+    "solver_modes = 24\ntime_grid = 0.1, 0.2, 0.4\nseed = 3\n"
+)
+
+
+def test_continuity_solves_each_exact_transport_once(count_calls):
+    from kdvlab.transport import wasserstein_p_exact
+
+    cfg = parse_config_text(SMALL_CONTINUITY)
+    solves = count_calls(wasserstein_p_exact)
+    rep = run_continuity(cfg)
+    # one solve at t = 0, whose plan is also the bound's, and one per grid time
+    assert len(solves) == 1 + len(cfg.time_grid)
+    assert rep.summary["bound_dominates"] is True
+    assert rep.series[0]["bound_w_p"] == rep.series[0]["w_p"]
+
+
+def test_run_and_write_samples_the_base_ensemble_once(tmp_path, count_calls):
+    from kdvlab.kdve_io import read_ensemble
+    from kdvlab.measures import sample_gibbs
+
+    draws = count_calls(sample_gibbs)
+    report = run_and_write(parse_config_text(SMALL_CONTINUITY), tmp_path / "c")
+    assert len(draws) == 1
+    back = read_ensemble(tmp_path / "c" / "base.kdve")
+    assert np.array_equal(back.coeffs, report.ensemble.coeffs)
+    assert np.array_equal(back.weights, report.ensemble.weights)
+
+    # experiments without a base ensemble write none
+    cfg = parse_config_text("experiment = galerkin\nmeasure = gaussian\nmodes = 8\n")
+    report = run_and_write(cfg, tmp_path / "g")
+    assert report.ensemble is None and not (tmp_path / "g" / "base.kdve").exists()
+
+
+def test_invariance_prices_the_cubic_on_live_rows_only(monkeypatch):
+    import kdvlab.experiments
+    from kdvlab.spectral import integral_u3_many
+
+    rows = []
+
+    def spy(coeffs):
+        rows.append(coeffs.shape[0])
+        return integral_u3_many(coeffs)
+
+    monkeypatch.setattr(kdvlab.experiments, "integral_u3_many", spy)
+    rep = run_invariance(parse_config_text(SMALL_INVARIANCE))
+    ens = rep.ensemble
+    live = int(np.count_nonzero(ens.weights > 0))
+    assert 0 < live < ens.n
+    assert rows == [live, live]
+    # dead draws add nothing: the mean equals the one over every row
+    w = ens.weights
+    assert rep.series[0]["cubic_mean"] == float(np.sum(w * integral_u3_many(ens.coeffs)) / w.sum())

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from kdvlab.spectral import (
+    MODE_TO_EXP,
+    NORM_FACTOR,
     TorusField,
     cosine_mode,
     evaluate,
@@ -163,3 +165,32 @@ def test_field_arithmetic_and_padding():
 def test_nonfinite_modes_rejected():
     with pytest.raises(ValueError):
         make_field([np.nan + 0j])
+
+
+
+def scalar_evaluate(u, n):
+    """The one-field grid evaluation that ``evaluate`` did before it became a view."""
+    spec = np.zeros(n // 2 + 1, dtype=np.complex128)
+    spec[1 : u.n_modes + 1] = u.modes * MODE_TO_EXP
+    return np.fft.irfft(spec, n) * n
+
+
+def test_scalar_views_equal_the_scalar_formulas():
+    rng = np.random.default_rng(41)
+    for m in (1, 2, 3, 7, 16, 33, 64, 129):
+        k = np.arange(1, m + 1, dtype=np.float64)
+        default = max(8 * m, 32)
+        for _ in range(5):
+            u = random_field(rng, m)
+            for s in (0.0, 0.25, 0.45, 1.0):
+                want = float(np.sqrt(NORM_FACTOR * np.sum(k ** (2 * s) * np.abs(u.modes) ** 2)))
+                assert sobolev_norm(u, s) == want
+            assert np.array_equal(evaluate(u), scalar_evaluate(u, default))
+            n = 2 * m + 1 + int(rng.integers(0, 9))
+            assert np.array_equal(evaluate(u, n), scalar_evaluate(u, n))
+            assert linf_norm(u) == float(np.max(np.abs(scalar_evaluate(u, default))))
+    u = cosine_mode(3)
+    with pytest.raises(ValueError):
+        sobolev_norm(u, -0.1)
+    with pytest.raises(ValueError):
+        evaluate(u, 6)  # 2M + 1 = 7 points are the least that resolve 3 modes
