@@ -15,12 +15,11 @@ metric adds the bottleneck value in L2 to the p-cost in H^s.
 Zero-weight draws carry no mass in any coupling, so every solver gathers
 the positive-weight rows and columns first and builds distances on that
 live block only; a Gibbs ensemble keeps only a few percent of its draws.
-Plans are returned in the full (n, m) layout with dead rows and columns at
-zero, and values are priced over that layout, so they do not depend on the
-pruning.  ``combined_metric_parts`` returns the plan of the order-p value it
-reports, so a caller never solves the same pair twice.  ``plan_cost``
-prices only the pairs in a plan's support, on ensembles already evolved to
-time t, and ``write_plan_csv`` prices the same pairs at the time of the plan.
+A plan is stored as its support, in full-layout indices, so no solver
+allocates an (n, m) array; values, residuals, ``plan_cost`` (on ensembles
+already evolved to time t) and ``write_plan_csv`` all read that support.
+``combined_metric_parts`` returns the plan of the order-p value it reports,
+so a caller never solves the same pair twice.
 """
 
 from __future__ import annotations
@@ -64,9 +63,16 @@ class CostMatrix:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Coupling matrix with the marginal residuals it achieves."""
+    """Coupling of ``shape`` (n, m) as its support, with the marginal residuals it achieves.
 
-    plan: np.ndarray
+    Entry k moves ``mass[k]`` >= ``_MASS_EPS`` from draw ``rows[k]`` to draw
+    ``cols[k]``, in row-major order; every other entry is zero.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    mass: np.ndarray
+    shape: tuple[int, int]
     row_residual: float
     col_residual: float
 
@@ -74,13 +80,27 @@ class TransportPlan:
         return self.row_residual <= tol and self.col_residual <= tol
 
 
-def _plan_from(matrix: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> TransportPlan:
-    matrix = np.where(matrix < _MASS_EPS, 0.0, matrix)
-    return TransportPlan(
-        plan=matrix,
-        row_residual=float(np.max(np.abs(matrix.sum(axis=1) - wa))),
-        col_residual=float(np.max(np.abs(matrix.sum(axis=0) - wb))),
-    )
+def _plan_from(r, c, mass, ia, ib, a: WeightedEnsemble, b: WeightedEnsemble):
+    """The plan of live-block entries (r, c, mass), given row-major, and the (r, c) it keeps.
+
+    ``ia`` and ``ib`` map block indices to the full layout.  Entries below
+    ``_MASS_EPS`` are dropped, so the value and the residuals read the plan's support.
+    """
+    keep = mass >= _MASS_EPS
+    r, c, mass = r[keep], c[keep], mass[keep]
+    rows, cols = ia[r], ib[c]
+
+    def residual(idx, w):
+        return float(np.max(np.abs(np.bincount(idx, weights=mass, minlength=w.size) - w)))
+
+    res = residual(rows, a.weights), residual(cols, b.weights)
+    return TransportPlan(rows, cols, mass, (a.n, b.n), *res), r, c
+
+
+def _block_entries(block: np.ndarray):
+    """Every entry of a live-block matrix as (rows, cols, mass), in row-major order."""
+    r, c = np.divmod(np.arange(block.size), block.shape[1])
+    return r, c, block.ravel()
 
 
 def _common_modes(a: WeightedEnsemble, b: WeightedEnsemble):
@@ -94,13 +114,6 @@ def _live_support(a: WeightedEnsemble, b: WeightedEnsemble):
     ia = np.flatnonzero(a.weights > 0)
     ib = np.flatnonzero(b.weights > 0)
     return ia, ib, xa[ia], xb[ib]
-
-
-def _embed(sub: np.ndarray, ia: np.ndarray, ib: np.ndarray, shape) -> np.ndarray:
-    """Scatter a live-block matrix into the full layout, dead rows and columns at zero."""
-    full = np.zeros(shape)
-    full[np.ix_(ia, ib)] = sub
-    return full
 
 
 def _hs_norms(diff: np.ndarray, s: float) -> np.ndarray:
@@ -185,8 +198,8 @@ def wasserstein_p_exact(
 
     Uniform equal-size marginals reduce to an optimal assignment; anything
     else is solved as a linear program.  Zero-weight support points are
-    pruned before any distance is built, and re-embedded as zero rows and
-    columns of the plan.
+    pruned before any distance is built; the plan holds only the pairs that
+    carry mass, and the value is priced over them.
     """
     if not (p >= 1 and math.isfinite(p)):
         raise ValueError("the transport order must be a finite p >= 1")
@@ -194,17 +207,12 @@ def wasserstein_p_exact(
     ia, ib, xa, xb = _live_support(a, b)
     cost = _costs(xa, xb, s, p)
     if _uniform_equal(a, b):
-        rows, cols = linear_sum_assignment(cost)
-        sub = np.zeros(cost.shape)
-        sub[rows, cols] = 1.0 / a.n
+        r, c = linear_sum_assignment(cost)
+        support = r, c, np.full(r.size, 1.0 / a.n)
     else:
-        sub = _transport_lp(a.weights[ia], b.weights[ib], cost)
-    shape = (a.n, b.n)
-    full = _embed(sub, ia, ib, shape)
-    # priced over the full layout: the summation order, hence every bit of
-    # the value, is the same as for a dense solve
-    value = float(np.sum(full * _embed(cost, ia, ib, shape))) ** (1.0 / p)
-    return value, _plan_from(full, a.weights, b.weights)
+        support = _block_entries(_transport_lp(a.weights[ia], b.weights[ib], cost))
+    plan, r, c = _plan_from(*support, ia, ib, a, b)
+    return float(np.sum(plan.mass * cost[r, c])) ** (1.0 / p), plan
 
 
 def _round_to_feasible(plan: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
@@ -285,16 +293,10 @@ def wasserstein_p_entropic(
             break
     else:
         raise SinkhornConvergenceError(residual, iterations)
-    shape = (a.n, b.n)
-    full = _embed(_round_to_feasible(np.exp(log_plan), wa, wb), ia, ib, shape)
-    value = float(np.sum(full * _embed(cost, ia, ib, shape))) ** (1.0 / p)
-    return EntropicResult(
-        value=value,
-        plan=_plan_from(full, a.weights, b.weights),
-        iterations=iterations,
-        residual=residual,
-        epsilon=epsilon,
-    )
+    block = _round_to_feasible(np.exp(log_plan), wa, wb)
+    plan, r, c = _plan_from(*_block_entries(block), ia, ib, a, b)
+    value = float(np.sum(plan.mass * cost[r, c])) ** (1.0 / p)
+    return EntropicResult(value, plan, iterations, residual, epsilon)
 
 
 # --- bottleneck distance ----------------------------------------------------
@@ -334,8 +336,8 @@ def _matching_feasible(mask: np.ndarray) -> bool:
     return bool(np.all(match >= 0))
 
 
-def _restricted_lp(wa, wb, cost, mask) -> np.ndarray | None:
-    """Feasible low-cost plan supported on allowed edges, or None if infeasible."""
+def _restricted_lp(wa, wb, cost, mask):
+    """Feasible low-cost plan on the allowed edges as (rows, cols, mass), or None."""
     n, m = cost.shape
     rows_i, cols_j = np.nonzero(mask)
     n_var = rows_i.size
@@ -347,9 +349,7 @@ def _restricted_lp(wa, wb, cost, mask) -> np.ndarray | None:
     res = linprog(cost[rows_i, cols_j], A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         return None
-    plan = np.zeros((n, m))
-    plan[rows_i, cols_j] = np.maximum(res.x, 0.0)
-    return plan
+    return rows_i, cols_j, np.maximum(res.x, 0.0)
 
 
 def wasserstein_inf(a: WeightedEnsemble, b: WeightedEnsemble) -> tuple[float, TransportPlan]:
@@ -389,19 +389,17 @@ def wasserstein_inf(a: WeightedEnsemble, b: WeightedEnsemble) -> tuple[float, Tr
         match = maximum_bipartite_matching(
             sparse.csr_matrix(sub <= levels[idx]), perm_type="column"
         )
-        plan_sub = np.zeros(sub.shape)
-        plan_sub[np.arange(a.n), match] = 1.0 / a.n
+        support = np.arange(match.size), match, np.full(match.size, 1.0 / a.n)
     else:
         # the flow test rounds masses to an integer grid; confirm the
         # threshold with an exact feasibility LP, which also yields the plan
-        plan_sub = _restricted_lp(wa, wb, sub, sub <= levels[idx])
-        while plan_sub is None and idx + 1 < levels.size:
+        support = _restricted_lp(wa, wb, sub, sub <= levels[idx])
+        while support is None and idx + 1 < levels.size:
             idx += 1
-            plan_sub = _restricted_lp(wa, wb, sub, sub <= levels[idx])
-        if plan_sub is None:
+            support = _restricted_lp(wa, wb, sub, sub <= levels[idx])
+        if support is None:
             raise RuntimeError("bottleneck feasibility could not be established")
-    full = _embed(plan_sub, ia, ib, (a.n, b.n))
-    return float(levels[idx]), _plan_from(full, a.weights, b.weights)
+    return float(levels[idx]), _plan_from(*support, ia, ib, a, b)[0]
 
 
 # --- combined metric and pushforward bounds ---------------------------------
@@ -416,6 +414,7 @@ class CombinedDistance:
     backend: str
     plan: TransportPlan = field(compare=False, repr=False)
     epsilon: float | None = None
+    iterations: int | None = None  # Sinkhorn target-level sweeps; None when exact
 
     @property
     def total(self) -> float:
@@ -436,18 +435,17 @@ def combined_metric_parts(
     price is the reported ``w_p``.
     """
     w_inf, _ = wasserstein_inf(a, b)
+    iterations = None
     if backend == "exact":
         w_p, plan = wasserstein_p_exact(a, b, s, p)
     elif backend == "entropic":
         if epsilon is None:
-            cm = cost_matrix(a, b, s, p)
-            epsilon = 0.01 * float(np.median(cm.entries))
-            epsilon = max(epsilon, 1e-12)
+            epsilon = max(0.01 * float(np.median(cost_matrix(a, b, s, p).entries)), 1e-12)
         res = wasserstein_p_entropic(a, b, s, p, epsilon)
-        w_p, plan = res.value, res.plan
+        w_p, plan, iterations = res.value, res.plan, res.iterations
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    return CombinedDistance(w_inf=w_inf, w_p=w_p, backend=backend, epsilon=epsilon, plan=plan)
+    return CombinedDistance(w_inf, w_p, backend, plan, epsilon, iterations)
 
 
 def combined_metric(
@@ -492,10 +490,10 @@ def plan_cost(
     distance minimises over, so each bound dominates it by construction.
     """
     xa, xb = _common_modes(a_t, b_t)
-    rows, cols = np.nonzero(plan.plan > _MASS_EPS)
+    rows, cols = plan.rows, plan.cols
     dist_hs = _pair_distances(xa, xb, rows, cols, s)
     dist_l2 = dist_hs if s == 0 else _pair_distances(xa, xb, rows, cols, 0.0)
-    w_p = float(np.sum(plan.plan[rows, cols] * dist_hs**p)) ** (1.0 / p)
+    w_p = float(np.sum(plan.mass * dist_hs**p)) ** (1.0 / p)
     w_inf = float(np.max(dist_l2)) if rows.size else 0.0
     return PushforwardCost(t=t, w_p_bound=w_p, w_inf_bound=w_inf)
 
@@ -512,24 +510,23 @@ def write_plan_csv(
     corresponding entries of :func:`cost_matrix`.
     """
     xa, xb = _common_modes(a, b)
-    rows, cols = np.nonzero(plan.plan > _MASS_EPS)
-    cost = _pair_distances(xa, xb, rows, cols, s) ** p
+    cost = _pair_distances(xa, xb, plan.rows, plan.cols, s) ** p
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "mass", "cost"])
-        for i, j, c in zip(rows, cols, cost):
-            writer.writerow([int(i), int(j), repr(plan.plan[i, j]), repr(c)])
+        for i, j, mass, c in zip(plan.rows, plan.cols, plan.mass, cost):
+            writer.writerow([int(i), int(j), repr(mass), repr(c)])
 
 
-def write_distance_json(path, distance: CombinedDistance, iterations: int | None = None) -> None:
-    """The distance, its parts and the marginal residuals of its order-p plan as JSON."""
+def write_distance_json(path, distance: CombinedDistance) -> None:
+    """The distance, its parts, Sinkhorn iterations and the plan's marginal residuals as JSON."""
     payload = {
         "distance": distance.total,
         "w_inf": distance.w_inf,
         "w_p": distance.w_p,
         "backend": distance.backend,
         "epsilon": distance.epsilon,
-        "iterations": iterations,
+        "iterations": distance.iterations,
         "marginal_residuals": [distance.plan.row_residual, distance.plan.col_residual],
     }
     with open(path, "w") as fh:

@@ -1,6 +1,14 @@
 import sys
 
+import numpy as np
 import pytest
+
+
+def dense_plan(plan):
+    """The (n, m) matrix of a plan's support, for tests that compare dense layouts."""
+    full = np.zeros(plan.shape)
+    full[plan.rows, plan.cols] = plan.mass
+    return full
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import kdvlab
+from conftest import dense_plan
 from kdvlab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, cli_entry, parse_init
 from kdvlab.spectral import cosine_mode, sine_mode
 
@@ -235,11 +236,35 @@ def test_distance_solves_exact_transport_once_and_prices_only_the_plan(tmp_path,
     cost = cost_matrix(a, b, 0.25, 2.0).entries
     with open(out / "plan.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    support = list(zip(*np.nonzero(plan.plan > 1e-15)))
+    full = dense_plan(plan)
+    support = list(zip(*np.nonzero(full > 1e-15)))
     assert [(int(r["i"]), int(r["j"])) for r in rows] == [(int(i), int(j)) for i, j in support]
     for r in rows:
         i, j = int(r["i"]), int(r["j"])
-        assert r["mass"] == repr(plan.plan[i, j]) and r["cost"] == repr(cost[i, j])
+        assert r["mass"] == repr(full[i, j]) and r["cost"] == repr(cost[i, j])
+
+
+def test_distance_json_reports_the_sinkhorn_iterations(tmp_path, capsys):
+    from kdvlab.kdve_io import read_ensemble
+    from kdvlab.transport import combined_metric_parts
+
+    files = []
+    for seed in (1, 2):
+        files.append(tmp_path / f"g{seed}.kdve")
+        assert cli_entry(["sample", "--measure", "gibbs", "--modes", "6", "--n", "96",
+                          "--seed", str(seed), "--out", str(files[-1])]) == EXIT_OK
+    a, b = read_ensemble(files[0]), read_ensemble(files[1])
+    for backend in ("exact", "entropic"):
+        out = tmp_path / backend
+        assert cli_entry(["distance", "--a", str(files[0]), "--b", str(files[1]),
+                          "--backend", backend, "--out", str(out)]) == EXIT_OK
+        saved = json.loads((out / "distance.json").read_text())
+        if backend == "exact":
+            assert saved["iterations"] is None
+        else:
+            want = combined_metric_parts(a, b, 0.25, 2.0, "entropic").iterations
+            assert isinstance(want, int) and want > 0
+            assert saved["iterations"] == want
 
 
 def test_sample_has_no_metric_flags(tmp_path, capsys):

@@ -1,13 +1,16 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import dense_plan
 from kdvlab import transport
 from kdvlab.flow import SolverConfig, evolve_many
 from kdvlab.measures import WeightedEnsemble
 from kdvlab.spectral import cosine_mode, sobolev_norm
 from kdvlab.transport import (
+    _MASS_EPS,
     SinkhornConvergenceError,
     _distance_matrix,
     _plan_from,
@@ -199,7 +202,7 @@ def test_exact_prunes_zero_weight_points():
     b = WeightedEnsemble(coeffs[:2], [0.5, 0.5])
     value, plan = wasserstein_p_exact(a, b, 0.25, 2.0)
     assert value == 0.0
-    assert np.all(plan.plan[2:] == 0.0)
+    assert np.all(dense_plan(plan)[2:] == 0.0)
 
 
 # --- entropic solver -------------------------------------------------------
@@ -265,7 +268,7 @@ def test_bottleneck_uniform_matches_permutation_oracle():
         assert value == pytest.approx(brute_winf_uniform(a, b), abs=1e-12)
         assert plan.check()
         dist = cost_matrix(a, b, 0.0, 1.0).entries
-        assert np.max(dist[plan.plan > 1e-15]) <= value + 1e-12
+        assert np.max(dist[plan.rows, plan.cols]) <= value + 1e-12
 
 
 def test_bottleneck_weighted_matches_2x2_oracle():
@@ -409,8 +412,8 @@ def solve_on_dense_slices(monkeypatch, a, b, solve):
 
 def assert_dead_zero(plan, a, b):
     ia, ib = live(a, b)
-    assert np.all(np.delete(plan.plan, ia, axis=0) == 0.0)
-    assert np.all(np.delete(plan.plan, ib, axis=1) == 0.0)
+    assert np.all(np.delete(dense_plan(plan), ia, axis=0) == 0.0)
+    assert np.all(np.delete(dense_plan(plan), ib, axis=1) == 0.0)
 
 
 def test_pruned_exact_equals_dense_reference():
@@ -421,11 +424,15 @@ def test_pruned_exact_equals_dense_reference():
     dense = dist**p
     full = np.zeros((a.n, b.n))
     full[np.ix_(ia, ib)] = _transport_lp(a.weights[ia], b.weights[ib], dense[np.ix_(ia, ib)])
-    ref_value = float(np.sum(full * dense)) ** (1.0 / p)
+    rows, cols = np.nonzero(full >= _MASS_EPS)  # the reference plan's row-major support
+    ref_value = float(np.sum(full[rows, cols] * dense[rows, cols])) ** (1.0 / p)
+    dense_value = float(np.sum(full * dense)) ** (1.0 / p)
+    assert abs(ref_value - dense_value) <= 1e-15 * dense_value
 
     value, plan = wasserstein_p_exact(a, b, s, p)
     assert value == ref_value
-    assert np.array_equal(plan.plan, _plan_from(full, a.weights, b.weights).plan)
+    assert np.array_equal(plan.rows, rows) and np.array_equal(plan.cols, cols)
+    assert np.array_equal(plan.mass, full[rows, cols])
     assert_dead_zero(plan, a, b)
     # the live block of the dense build is exactly the pruned build
     assert np.array_equal(
@@ -438,7 +445,7 @@ def test_pruned_bottleneck_and_entropic_equal_dense_reference(monkeypatch):
     w_inf, plan = wasserstein_inf(a, b)
     ref_inf, ref_plan = solve_on_dense_slices(monkeypatch, a, b, lambda: wasserstein_inf(a, b))
     assert w_inf == ref_inf
-    assert np.array_equal(plan.plan, ref_plan.plan)
+    assert np.array_equal(dense_plan(plan), dense_plan(ref_plan))
     assert_dead_zero(plan, a, b)
 
     ia, ib = live(a, b)
@@ -448,7 +455,7 @@ def test_pruned_bottleneck_and_entropic_equal_dense_reference(monkeypatch):
         monkeypatch, a, b, lambda: wasserstein_p_entropic(a, b, 0.25, 2.0, epsilon)
     )
     assert res.value == ref.value and res.iterations == ref.iterations
-    assert np.array_equal(res.plan.plan, ref.plan.plan)
+    assert np.array_equal(dense_plan(res.plan), dense_plan(ref.plan))
     assert_dead_zero(res.plan, a, b)
     assert res.plan.check()
 
@@ -464,11 +471,12 @@ def test_pruned_pushforward_cost_equals_dense_reference():
             xa, xb = a.padded(b.n_modes).coeffs, b.coeffs
             if t != 0.0:
                 xa, xb = evolve_many(xa, t, cfg), evolve_many(xb, t, cfg)
-            mask = plan.plan > 1e-15
+            full = dense_plan(plan)
+            mask = full > 1e-15
             dist_hs = _distance_matrix(xa, xb, s)
             dist_l2 = _distance_matrix(xa, xb, 0.0)
             got = plan_cost(a.replace(coeffs=xa), b.replace(coeffs=xb), plan, t, s, p)
-            assert got.w_p_bound == float(np.sum(plan.plan[mask] * dist_hs[mask] ** p)) ** (1 / p)
+            assert got.w_p_bound == float(np.sum(full[mask] * dist_hs[mask] ** p)) ** (1 / p)
             assert got.w_inf_bound == float(np.max(dist_l2[mask]))
 
 
@@ -495,3 +503,55 @@ def test_plan_cost_never_prices_dead_rows():
             yb[b.weights == 0] = -1e3
             junk = plan_cost(a.replace(coeffs=ya), b.replace(coeffs=yb), plan, t, s, p)
             assert junk == want
+
+
+# --- a plan is its support ----------------------------------------------------
+
+
+def test_plan_support_keeps_mass_at_the_threshold_and_drops_mass_below_it():
+    coeffs = np.zeros((3, 2), dtype=complex)
+    a = WeightedEnsemble(coeffs, [0.5, 0.0, 0.5])
+    b = WeightedEnsemble(coeffs[:2], [0.5, 0.5])
+    ia, ib = live(a, b)
+    below = np.nextafter(_MASS_EPS, 0.0)
+    r, c = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    mass = np.array([0.5 - _MASS_EPS, _MASS_EPS, below, 0.5])
+    plan, kept_r, kept_c = _plan_from(r, c, mass, ia, ib, a, b)
+    assert plan.shape == (3, 2)
+    assert plan.rows.tolist() == [0, 0, 2] and plan.cols.tolist() == [0, 1, 1]
+    assert plan.mass.tolist() == [0.5 - _MASS_EPS, _MASS_EPS, 0.5]
+    assert kept_r.tolist() == [0, 0, 1] and kept_c.tolist() == [0, 1, 1]
+    # the residuals read the same support: the entry below the threshold counts nowhere
+    assert plan.row_residual == abs((0.5 - _MASS_EPS) + _MASS_EPS - 0.5)
+    assert plan.col_residual == max(abs(0.5 - _MASS_EPS - 0.5), abs(_MASS_EPS + 0.5 - 0.5))
+
+
+def test_value_is_the_price_of_its_plan_at_time_zero():
+    # the same sum over the same support with the same per-pair costs: equal bit for bit
+    s, p = 0.25, 2.0
+    pairs = [sparse_pair()] + [
+        (uniform_ensemble(30, 6, seed=k), uniform_ensemble(30, 6, seed=100 + k)) for k in range(10)
+    ]
+    for a, b in pairs:
+        value, plan = wasserstein_p_exact(a, b, s, p)
+        assert value == plan_cost(a, b, plan, 0.0, s, p).w_p_bound
+
+
+def test_solvers_allocate_nothing_of_the_full_layout():
+    rng = np.random.default_rng(42)
+
+    def ensemble(n, live):
+        coeffs = 0.3 * (rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8)))
+        w = np.zeros(n)
+        w[rng.choice(n, size=live, replace=False)] = rng.random(live) + 0.1
+        return WeightedEnsemble(coeffs, w / w.sum())
+
+    a, b = ensemble(4096, 40), ensemble(4096, 41)
+    tracemalloc.start()
+    try:
+        parts = combined_metric_parts(a, b, 0.25, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * 4096 * 4096 * 8  # 5% of one dense float64 (n, m) array
+    assert parts.plan.shape == (4096, 4096) and parts.plan.check()
