@@ -45,6 +45,7 @@ from .measures import (
     gibbs_weight,
     pushforward,
     pushforward_linear,
+    pushforward_many,
     sample_gaussian,
     sample_gibbs,
     tail_fit,

@@ -29,6 +29,7 @@ from .measures import (
     WeightedEnsemble,
     pushforward,
     pushforward_linear,
+    pushforward_many,
     sample_gaussian,
     sample_gibbs,
     tail_fit,
@@ -344,8 +345,9 @@ def _measure_radii(cfg: ExperimentConfig, ens: WeightedEnsemble) -> dict:
 def run_continuity(cfg: ExperimentConfig) -> ExperimentReport:
     """Track the combined distance of a coupled pair of ensembles through time.
 
-    Builds a base ensemble and its perturbation and steps both from grid time
-    to grid time, evolving only the positive-weight draws.  At every grid
+    Builds a base ensemble and its perturbation and steps both as one batch
+    (one discrete flow map, one step size) from grid time to grid time,
+    evolving only the positive-weight draws.  At every grid
     time it re-optimises the distance on the evolved pair and prices the
     time-zero optimal plan on that same pair: the pushed plan is a coupling
     of the evolved ensembles, so its price bounds the re-optimised distance
@@ -379,8 +381,7 @@ def run_continuity(cfg: ExperimentConfig) -> ExperimentReport:
     mu_t, nu_t = mu, nu
     t_prev = 0.0
     for t in cfg.time_grid:
-        mu_t = pushforward(mu_t, t - t_prev, solver)
-        nu_t = pushforward(nu_t, t - t_prev, solver)
+        mu_t, nu_t = pushforward_many([mu_t, nu_t], t - t_prev, solver)
         t_prev = t
         dt_parts = combined_metric_parts(mu_t, nu_t, cfg.s, cfg.p, cfg.backend, cfg.epsilon)
         bound = plan_cost(mu_t, nu_t, d0.plan, t, cfg.s, cfg.p)

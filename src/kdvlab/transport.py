@@ -507,7 +507,8 @@ def write_plan_csv(
     """Plan support as CSV rows (i, j, mass, cost), cost = |a_i - b_j|_{H^s}^p.
 
     Only the support pairs are priced, with the same bits as the
-    corresponding entries of :func:`cost_matrix`.
+    corresponding entries of :func:`cost_matrix`; mass and cost are written
+    as the shortest decimal that reads back to the same double.
     """
     xa, xb = _common_modes(a, b)
     cost = _pair_distances(xa, xb, plan.rows, plan.cols, s) ** p
@@ -515,7 +516,7 @@ def write_plan_csv(
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "mass", "cost"])
         for i, j, mass, c in zip(plan.rows, plan.cols, plan.mass, cost):
-            writer.writerow([int(i), int(j), repr(mass), repr(c)])
+            writer.writerow([int(i), int(j), repr(float(mass)), repr(float(c))])
 
 
 def write_distance_json(path, distance: CombinedDistance) -> None:

@@ -241,7 +241,8 @@ def test_distance_solves_exact_transport_once_and_prices_only_the_plan(tmp_path,
     assert [(int(r["i"]), int(r["j"])) for r in rows] == [(int(i), int(j)) for i, j in support]
     for r in rows:
         i, j = int(r["i"]), int(r["j"])
-        assert r["mass"] == repr(full[i, j]) and r["cost"] == repr(cost[i, j])
+        assert r["mass"] == repr(float(full[i, j])) and r["cost"] == repr(float(cost[i, j]))
+        assert float(r["mass"]) == full[i, j] and float(r["cost"]) == cost[i, j]
 
 
 def test_distance_json_reports_the_sinkhorn_iterations(tmp_path, capsys):

@@ -174,23 +174,90 @@ def test_evolve_batch_matches_single():
         assert np.max(np.abs(batch[i] - single[0])) < 1e-9
 
 
-def test_row_blocks_leave_the_batch_result_unchanged(monkeypatch):
+def _oracle_rhs(m, nl_band, grid_n):
+    # the allocate-per-stage right-hand side the preallocated stepper replaced
+    n_bins = grid_n // 2 + 1
+    ik = 1j * np.arange(m + 1, dtype=np.float64)
+
+    def rhs(chat):
+        buf = np.zeros(chat.shape[:-1] + (n_bins,), dtype=np.complex128)
+        buf[..., 1 : nl_band + 1] = chat[..., 1 : nl_band + 1]
+        u = np.fft.irfft(buf, grid_n, axis=-1) * grid_n
+        what = np.fft.rfft(u * u, axis=-1) / grid_n
+        out = -0.5 * ik * what[..., : m + 1]
+        out[..., nl_band + 1 :] = 0.0
+        return out
+
+    return rhs
+
+
+def _oracle_ifrk4(chat, n_steps, h, m, rhs):
+    k = np.arange(m + 1, dtype=np.float64)
+    phase = 1j * k**3
+    e_full = np.exp(h * phase)
+    e_half = np.exp(0.5 * h * phase)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            n1 = rhs(chat)
+            n2 = rhs(e_half * (chat + (0.5 * h) * n1))
+            n3 = rhs(e_half * chat + (0.5 * h) * n2)
+            n4 = rhs(e_full * chat + h * (e_half * n3))
+            chat = e_full * chat + (h / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+            if not np.all(np.isfinite(chat.view(np.float64))):
+                raise FlowDivergenceError(step)
+    return chat
+
+
+def _oracle_evolve(coeffs, t, cfg, band=None):
     from kdvlab import flow
 
-    rng = np.random.default_rng(13)
-    cfg = SolverConfig(n_modes=16, dt=1e-3)
-    coeffs = np.stack([random_field(rng, 8).modes for _ in range(150)])
-    monkeypatch.setattr(flow, "_BLOCK_BYTES", 32 * 16 * 33)  # 32-row blocks on the 64-point grid
-    blocked = evolve_many(coeffs, 0.05, cfg)
+    m = cfg.n_modes
+    amplitude = float(np.max(flow.linf_norms_many(coeffs)))
+    dt = cfg.step_size(amplitude)
+    n_steps = max(1, int(np.ceil(abs(t) / dt)))
+    grid_n = flow._grid_size(m, cfg.dealias)
+    rhs = _oracle_rhs(m, m if band is None else band, grid_n)
+    chat = _oracle_ifrk4(flow._to_state(coeffs, m), n_steps, t / n_steps, m, rhs)
+    return chat[..., 1:] / flow.MODE_TO_EXP
+
+
+def test_grid_size_is_a_power_of_two():
+    # the stepper's norm="forward" transforms are exact only on such grids
+    from kdvlab.flow import _grid_size
+
+    for m in range(4, 257):
+        for dealias in (True, False):
+            n = _grid_size(m, dealias)
+            assert n & (n - 1) == 0 and n >= (3 * m + 1 if dealias else 2 * m + 2)
+
+
+@pytest.mark.parametrize("m", [16, 48, 64])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_stepper_matches_the_allocating_oracle_bit_for_bit(m, dealias):
+    from kdvlab.flow import _evolve_state
+
+    rng = np.random.default_rng(13 + m)
+    cfg = SolverConfig(n_modes=m, dt=1e-3, dealias=dealias)
+    coeffs = np.stack([random_field(rng, 8).modes for _ in range(640)])
+    for rows in (1, 10, 47, 640):
+        for t in (0.012, -0.007):
+            got = evolve_many(coeffs[:rows], t, cfg)
+            want = _oracle_evolve(coeffs[:rows], t, cfg)
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    band = m // 3
+    got = _evolve_state(coeffs[:10], 0.01, cfg, nl_band=band)
+    want = _oracle_evolve(coeffs[:10], 0.01, cfg, band=band)
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+def test_stepper_diverges_at_the_oracle_step_on_the_whole_batch():
     wild = SolverConfig(n_modes=16, dt=0.4, cfl_constant=1e9)
     growing = np.linspace(0.5, 8.0, 150)[:, None] * cosine_mode(1, 8).modes[None, :]
-    with pytest.raises(FlowDivergenceError) as blocked_err:
+    with pytest.raises(FlowDivergenceError) as want:
+        _oracle_evolve(growing, 40.0, wild)
+    with pytest.raises(FlowDivergenceError) as got:
         evolve_many(growing, 40.0, wild)
-    monkeypatch.setattr(flow, "_BLOCK_BYTES", 1 << 40)  # the whole batch in one block
-    assert np.array_equal(blocked, evolve_many(coeffs, 0.05, cfg))
-    with pytest.raises(FlowDivergenceError) as whole_err:
-        evolve_many(growing, 40.0, wild)
-    assert blocked_err.value.step == whole_err.value.step
+    assert got.value.step == want.value.step
 
 
 def test_evolve_rejects_unresolvable_modes():

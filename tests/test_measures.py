@@ -12,13 +12,14 @@ from kdvlab.measures import (
     f_convergence_probe,
     gibbs_weight,
     pushforward,
+    pushforward_many,
     sample_gaussian,
     sample_gibbs,
     tail_fit,
 )
 from kdvlab.flow import SolverConfig
 from kdvlab.rng import substream
-from kdvlab.spectral import cosine_mode, sobolev_norm, zero_field
+from kdvlab.spectral import cosine_mode, linf_norms_many, sobolev_norm, zero_field
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -184,6 +185,52 @@ def test_pushforward_keeps_weights_and_dead_points():
     assert np.array_equal(out.coeffs[dead][:, :8], ens.coeffs[dead])
     live = ~dead
     assert np.any(np.abs(out.coeffs[live][:, :8] - ens.coeffs[live]) > 1e-12)
+
+
+def _same_ensemble(x, y):
+    return (
+        np.array_equal(x.coeffs.view(np.float64), y.coeffs.view(np.float64))
+        and np.array_equal(x.weights, y.weights)
+        and x.provenance == y.provenance
+    )
+
+
+def test_pushforward_many_equals_pushforward_when_the_steps_agree():
+    cfg = SolverConfig(n_modes=16)
+    mu, _ = sample_gibbs(GibbsSpec(GaussianSpec(n_modes=8, seed=11)), 64)
+    nu, _ = sample_gibbs(GibbsSpec(GaussianSpec(n_modes=8, seed=12)), 96)
+    nu = nu.replace(provenance={**nu.provenance, "evolved_t": 0.5})
+    assert np.any(mu.weights == 0) and np.any(nu.weights == 0)
+    # the 1e-3 cap binds for both, so the joint batch keeps each one's step
+    amps = [np.max(linf_norms_many(e.coeffs[e.weights > 0])) for e in (mu, nu)]
+    assert all(cfg.step_size(a) == 1e-3 for a in amps)
+    joint = pushforward_many([mu, nu], 0.03, cfg)
+    assert len(joint) == 2
+    assert _same_ensemble(joint[0], pushforward(mu, 0.03, cfg))
+    assert _same_ensemble(joint[1], pushforward(nu, 0.03, cfg))
+    assert joint[1].provenance["evolved_t"] == 0.53
+
+
+def test_pushforward_many_steps_every_ensemble_with_the_smaller_step():
+    cfg = SolverConfig(n_modes=16)
+    rng = np.random.default_rng(5)
+    calm = WeightedEnsemble(0.05 * rng.standard_normal((6, 8)), np.full(6, 1 / 6))
+    wild = WeightedEnsemble(20.0 * rng.standard_normal((6, 8)), np.full(6, 1 / 6))
+    wild_step = cfg.step_size(float(np.max(linf_norms_many(wild.coeffs))))
+    assert wild_step < cfg.step_size(float(np.max(linf_norms_many(calm.coeffs)))) == 1e-3
+    joint = pushforward_many([calm, wild], 0.01, cfg)
+    assert _same_ensemble(joint[1], pushforward(wild, 0.01, cfg))
+    assert not _same_ensemble(joint[0], pushforward(calm, 0.01, cfg))
+    at_wild_step = SolverConfig(n_modes=16, dt=wild_step)
+    assert _same_ensemble(joint[0], pushforward(calm, 0.01, at_wild_step))
+
+
+def test_pushforward_many_needs_one_number_of_modes():
+    cfg = SolverConfig(n_modes=16)
+    a = WeightedEnsemble(np.full((2, 8), 0.1), [0.5, 0.5])
+    b = WeightedEnsemble(np.full((2, 6), 0.1), [0.5, 0.5])
+    with pytest.raises(ValueError):
+        pushforward_many([a, b], 0.01, cfg)
 
 
 def test_weighted_ensemble_rejects_non_finite_coefficients():
