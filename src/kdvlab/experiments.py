@@ -347,14 +347,15 @@ def run_continuity(cfg: ExperimentConfig) -> ExperimentReport:
 
     Builds a base ensemble and its perturbation and steps both as one batch
     (one discrete flow map, one step size) from grid time to grid time,
-    evolving only the positive-weight draws.  At every grid
-    time it re-optimises the distance on the evolved pair and prices the
-    time-zero optimal plan on that same pair: the pushed plan is a coupling
-    of the evolved ensembles, so its price bounds the re-optimised distance
-    from above by construction.  Finally it fits log(distance ratio)
-    linearly in t.  The fit is a growth-rate diagnostic only: the continuity
-    estimate bounds the ratio from above by a constant of t and the norm
-    radii, and states no trend in t.
+    evolving only the positive-weight draws.  At every grid time it
+    re-optimises the distance on the evolved pair and prices the time-zero
+    optimal plans on that same pair (the order-p part over the order-p
+    plan, the bottleneck part over the bottleneck plan): a pushed plan is a
+    coupling of the evolved ensembles, so its price bounds the re-optimised
+    distance from above by construction.  Finally it fits log(distance
+    ratio) linearly in t.  The fit is a growth-rate diagnostic only: the
+    continuity estimate bounds the ratio from above by a constant of t and
+    the norm radii, and states no trend in t.
     """
     _require_perturbation(cfg)
     mu, _ = _base_ensemble(cfg)
@@ -384,7 +385,7 @@ def run_continuity(cfg: ExperimentConfig) -> ExperimentReport:
         mu_t, nu_t = pushforward_many([mu_t, nu_t], t - t_prev, solver)
         t_prev = t
         dt_parts = combined_metric_parts(mu_t, nu_t, cfg.s, cfg.p, cfg.backend, cfg.epsilon)
-        bound = plan_cost(mu_t, nu_t, d0.plan, t, cfg.s, cfg.p)
+        bound = plan_cost(mu_t, nu_t, d0.plan, t, cfg.s, cfg.p, d0.inf_plan)
         series.append(
             {
                 "t": t,

@@ -4,10 +4,13 @@ Three solvers over the coupling polytope Marg(a, b):
 
 * an exact one (optimal assignment for uniform equal-size marginals, a
   linear program otherwise),
-* a bottleneck solver for the order-infinity distance (threshold bisection
-  over the sorted distinct costs with a flow feasibility test),
+* a bottleneck solver for the order-infinity distance (threshold search
+  over the sorted distinct costs, bracketed below by every live draw's
+  nearest edge and above by a witness coupling, with a flow or matching
+  feasibility test inside the bracket),
 * an entropically regularised one whose plan is rounded back to exact
-  feasibility, so its value always upper-bounds the exact optimum.
+  feasibility, so its value always upper-bounds the exact optimum; its
+  default regularisation is set from the live costs.
 
 Distances are |x - y|_{H^s} raised to the requested power; the combined
 metric adds the bottleneck value in L2 to the p-cost in H^s.
@@ -18,8 +21,12 @@ live block only; a Gibbs ensemble keeps only a few percent of its draws.
 A plan is stored as its support, in full-layout indices, so no solver
 allocates an (n, m) array; values, residuals, ``plan_cost`` (on ensembles
 already evolved to time t) and ``write_plan_csv`` all read that support.
-``combined_metric_parts`` returns the plan of the order-p value it reports,
-so a caller never solves the same pair twice.
+``combined_metric_parts`` solves the order-p part first, hands its plan to
+the bottleneck search as the witness, and returns both plans, so a caller
+never solves the same pair twice.  Where the witness's longest edge meets
+the lower bound (as on a pair and its small perturbation), the bottleneck
+value is certified with no probe and no LP.  ``cost_matrix`` is the dense
+matrix over every draw, for callers that want it; no solver uses it.
 """
 
 from __future__ import annotations
@@ -178,17 +185,25 @@ def _uniform_equal(a: WeightedEnsemble, b: WeightedEnsemble) -> bool:
     )
 
 
-def _transport_lp(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """Exact solution of the transportation LP with general weights."""
+def _restricted_lp(wa, wb, cost, mask):
+    """Transportation LP on the allowed edges of ``mask``, as (rows, cols, mass), or None.
+
+    Variables are the allowed edges in row-major order; one row constraint
+    per supply and one column constraint per demand, less one redundant
+    column.  An all-True mask is the full transportation LP.
+    """
     n, m = cost.shape
-    a_rows = sparse.kron(sparse.eye(n, format="csr"), np.ones((1, m)), format="csr")
-    a_cols = sparse.kron(np.ones((1, n)), sparse.eye(m, format="csr"), format="csr")
-    a_eq = sparse.vstack([a_rows, a_cols[:-1]], format="csr")  # drop one redundant row
+    rows_i, cols_j = np.nonzero(mask)
+    n_var = rows_i.size
+    data = np.ones(2 * n_var)
+    row_idx = np.concatenate([rows_i, n + cols_j])
+    col_idx = np.concatenate([np.arange(n_var), np.arange(n_var)])
+    a_eq = sparse.csr_matrix((data, (row_idx, col_idx)), shape=(n + m, n_var))[:-1]
     b_eq = np.concatenate([wa, wb[:-1]])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(cost[rows_i, cols_j], A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return np.maximum(res.x.reshape(n, m), 0.0)
+        return None
+    return rows_i, cols_j, np.maximum(res.x, 0.0)
 
 
 def wasserstein_p_exact(
@@ -210,7 +225,9 @@ def wasserstein_p_exact(
         r, c = linear_sum_assignment(cost)
         support = r, c, np.full(r.size, 1.0 / a.n)
     else:
-        support = _block_entries(_transport_lp(a.weights[ia], b.weights[ib], cost))
+        support = _restricted_lp(a.weights[ia], b.weights[ib], cost, np.ones(cost.shape, bool))
+        if support is None:
+            raise RuntimeError("transport LP failed")
     plan, r, c = _plan_from(*support, ia, ib, a, b)
     return float(np.sum(plan.mass * cost[r, c])) ** (1.0 / p), plan
 
@@ -245,7 +262,7 @@ def wasserstein_p_entropic(
     b: WeightedEnsemble,
     s: float,
     p: float,
-    epsilon: float,
+    epsilon: float | None = None,
     max_iter: int = 20000,
     tol: float = 1e-5,
 ) -> EntropicResult:
@@ -257,14 +274,17 @@ def wasserstein_p_entropic(
     violation falls below tol.  The plan is finally rounded to exact
     feasibility, so the reported cost is that of a true coupling (marginals
     are exact regardless of tol) and decreases toward the exact optimum as
-    epsilon shrinks.
+    epsilon shrinks.  The default epsilon is 1% of the median live-pair
+    cost (at least 1e-12); ``EntropicResult.epsilon`` reports the one used.
     """
-    if not epsilon > 0:
+    if epsilon is not None and not epsilon > 0:
         raise ValueError("regularisation must be positive")
     _check_marginals(a, b)
     ia, ib, xa, xb = _live_support(a, b)
     wa, wb = a.weights[ia], b.weights[ib]
     cost = _costs(xa, xb, s, p)
+    if epsilon is None:
+        epsilon = max(0.01 * float(np.median(cost)), 1e-12)
     la, lb = np.log(wa), np.log(wb)
     f = np.zeros(wa.size)
     g = np.zeros(wb.size)
@@ -316,17 +336,20 @@ def _round_to_total(weights: np.ndarray, total: int) -> np.ndarray:
 
 
 def _flow_feasible(mask: np.ndarray, ia_units: np.ndarray, ib_units: np.ndarray) -> bool:
+    """Whether integer supplies ``ia_units`` reach demands ``ib_units`` over the edges of ``mask``.
+
+    The network (rows 0..n-1, columns n..n+m-1, source n+m, sink n+m+1) is
+    written straight into CSR: the row-major edges of ``mask``, then each
+    column to the sink, then the source to each row.
+    """
     n, m = mask.shape
     src, dst = n + m, n + m + 1
     rows_i, cols_j = np.nonzero(mask)
-    row = np.concatenate([np.full(n, src), rows_i, n + np.arange(m)])
-    col = np.concatenate([np.arange(n), n + cols_j, np.full(m, dst)])
-    cap = np.concatenate(
-        [ia_units, np.full(rows_i.size, _FLOW_SCALE, dtype=np.int64), ib_units]
-    )
-    graph = sparse.csr_matrix(
-        (cap.astype(np.int32), (row, col)), shape=(n + m + 2, n + m + 2)
-    )
+    per_row = np.concatenate([np.bincount(rows_i, minlength=n), np.ones(m, np.int64), [n, 0]])
+    indptr = np.concatenate([[0], np.cumsum(per_row)]).astype(np.int32)
+    indices = np.concatenate([n + cols_j, np.full(m, dst), np.arange(n)]).astype(np.int32)
+    cap = np.concatenate([np.full(rows_i.size, _FLOW_SCALE), ib_units, ia_units]).astype(np.int32)
+    graph = sparse.csr_matrix((cap, indices, indptr), shape=(n + m + 2, n + m + 2))
     return maximum_flow(graph, src, dst).flow_value == _FLOW_SCALE
 
 
@@ -336,36 +359,55 @@ def _matching_feasible(mask: np.ndarray) -> bool:
     return bool(np.all(match >= 0))
 
 
-def _restricted_lp(wa, wb, cost, mask):
-    """Feasible low-cost plan on the allowed edges as (rows, cols, mass), or None."""
-    n, m = cost.shape
-    rows_i, cols_j = np.nonzero(mask)
-    n_var = rows_i.size
-    data = np.ones(2 * n_var)
-    row_idx = np.concatenate([rows_i, n + cols_j])
-    col_idx = np.concatenate([np.arange(n_var), np.arange(n_var)])
-    a_eq = sparse.csr_matrix((data, (row_idx, col_idx)), shape=(n + m, n_var))[:-1]
-    b_eq = np.concatenate([wa, wb[:-1]])
-    res = linprog(cost[rows_i, cols_j], A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
+def _witness_edge(witness: TransportPlan | None, ia, ib, sub: np.ndarray):
+    """Longest edge of ``witness`` on the live block ``sub``, or None if it certifies nothing.
+
+    A witness bounds W_inf from above only if it is a coupling within
+    ``MARGINAL_TOL`` whose support rows and columns are exactly the live
+    draws: a draw lighter than the tolerance may be missing from a plan that
+    still passes ``check``.
+    """
+    if witness is None or not witness.check():
         return None
-    return rows_i, cols_j, np.maximum(res.x, 0.0)
+    if not np.array_equal(np.unique(witness.rows), ia):
+        return None
+    if not np.array_equal(np.unique(witness.cols), ib):
+        return None
+    return sub[np.searchsorted(ia, witness.rows), np.searchsorted(ib, witness.cols)].max()
 
 
-def wasserstein_inf(a: WeightedEnsemble, b: WeightedEnsemble) -> tuple[float, TransportPlan]:
+def wasserstein_inf(
+    a: WeightedEnsemble, b: WeightedEnsemble, witness: TransportPlan | None = None
+) -> tuple[float, TransportPlan]:
     """Bottleneck transport value in L2: the least threshold carrying a feasible plan.
 
-    Bisection runs over the sorted distinct pairwise distances; feasibility at
-    a candidate threshold is decided by bipartite matching for uniform
-    equal-size marginals and by an integer max-flow otherwise.  The final
-    threshold is confirmed by an exact LP, which also provides the reported
-    plan (rounding in the flow test can never survive that confirmation).
-    Zero-weight support points are pruned before any distance is built.
+    The search runs over the sorted distinct live-pair distances inside a
+    bracket.  From below: every live row and column needs one edge, so the
+    value is at least the largest nearest-edge distance of any live draw,
+    however light.  From above: an optional ``witness``, a coupling of the
+    same pair (``combined_metric_parts`` passes the order-p plan), carries
+    all mass at its longest L2 edge.  The witness is used only if its
+    residuals pass ``check`` and its support rows and columns are exactly
+    the live draws.  When the search ends at the witness's level, the
+    witness is returned as the plan and no confirming LP is solved; when
+    the bracket is a single level, no threshold is probed either.
+
+    Inside the bracket, feasibility at a candidate threshold is decided by
+    bipartite matching for uniform equal-size marginals and by an integer
+    max-flow otherwise.  A flow threshold is confirmed by an exact LP, which
+    also provides the reported plan (rounding in the flow test can never
+    survive that confirmation).  Zero-weight support points are pruned
+    before any distance is built.
     """
     _check_marginals(a, b)
     ia, ib, xa, xb = _live_support(a, b)
     sub = _distance_matrix(xa, xb, 0.0)
     wa, wb = a.weights[ia], b.weights[ib]
+    levels = np.unique(sub)
+    lower = max(sub.min(axis=1).max(), sub.min(axis=0).max())
+    top = _witness_edge(witness, ia, ib, sub)
+    lo = int(np.searchsorted(levels, lower))
+    hi = levels.size - 1 if top is None else int(np.searchsorted(levels, top))
     uniform = _uniform_equal(a, b)
     if uniform:
         feasible = lambda lam: _matching_feasible(sub <= lam)
@@ -373,9 +415,7 @@ def wasserstein_inf(a: WeightedEnsemble, b: WeightedEnsemble) -> tuple[float, Tr
         ua = _round_to_total(wa, _FLOW_SCALE)
         ub = _round_to_total(wb, _FLOW_SCALE)
         feasible = lambda lam: _flow_feasible(sub <= lam, ua, ub)
-    levels = np.unique(sub)
-    lo, hi = 0, levels.size - 1
-    if feasible(levels[lo]):
+    if lo < hi and feasible(levels[lo]):
         hi = lo
     while lo < hi:
         mid = (lo + hi) // 2
@@ -384,6 +424,8 @@ def wasserstein_inf(a: WeightedEnsemble, b: WeightedEnsemble) -> tuple[float, Tr
         else:
             lo = mid + 1
     idx = hi
+    if top is not None and levels[idx] == top:
+        return float(levels[idx]), witness
     if uniform:
         # the matching test is exact; the matching itself is the plan
         match = maximum_bipartite_matching(
@@ -407,12 +449,13 @@ def wasserstein_inf(a: WeightedEnsemble, b: WeightedEnsemble) -> tuple[float, Tr
 
 @dataclass(frozen=True)
 class CombinedDistance:
-    """Bottleneck and order-p parts of the combined metric, with the order-p plan."""
+    """Bottleneck and order-p parts of the combined metric, with the plan of each part."""
 
     w_inf: float
     w_p: float
     backend: str
-    plan: TransportPlan = field(compare=False, repr=False)
+    plan: TransportPlan = field(compare=False, repr=False)  # order-p plan
+    inf_plan: TransportPlan = field(compare=False, repr=False)  # bottleneck plan
     epsilon: float | None = None
     iterations: int | None = None  # Sinkhorn target-level sweeps; None when exact
 
@@ -429,23 +472,25 @@ def combined_metric_parts(
     backend: str = "exact",
     epsilon: float | None = None,
 ) -> CombinedDistance:
-    """Combined metric split into its parts; ``plan`` is the order-p plan solved for.
+    """Combined metric split into its parts, each with the plan it was solved for.
 
-    With the entropic backend the plan is the rounded Sinkhorn plan whose
-    price is the reported ``w_p``.
+    The order-p part is solved first, and its plan is the witness that
+    brackets the bottleneck search from above (see :func:`wasserstein_inf`):
+    where the bracket closes, ``inf_plan`` is ``plan`` and the bottleneck
+    costs no probe and no LP.  With the entropic backend ``plan`` is the
+    rounded Sinkhorn plan whose price is the reported ``w_p``, and
+    ``epsilon`` the regularisation used (by default set from the live costs).
     """
-    w_inf, _ = wasserstein_inf(a, b)
     iterations = None
     if backend == "exact":
         w_p, plan = wasserstein_p_exact(a, b, s, p)
     elif backend == "entropic":
-        if epsilon is None:
-            epsilon = max(0.01 * float(np.median(cost_matrix(a, b, s, p).entries)), 1e-12)
         res = wasserstein_p_entropic(a, b, s, p, epsilon)
-        w_p, plan, iterations = res.value, res.plan, res.iterations
+        w_p, plan, epsilon, iterations = res.value, res.plan, res.epsilon, res.iterations
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    return CombinedDistance(w_inf, w_p, backend, plan, epsilon, iterations)
+    w_inf, inf_plan = wasserstein_inf(a, b, plan)
+    return CombinedDistance(w_inf, w_p, backend, plan, inf_plan, epsilon, iterations)
 
 
 def combined_metric(
@@ -480,21 +525,23 @@ def plan_cost(
     t: float,
     s: float,
     p: float,
+    inf_plan: TransportPlan | None = None,
 ) -> PushforwardCost:
-    """Price a fixed plan on two ensembles already evolved to time t.
+    """Price fixed plans on two ensembles already evolved to time t.
 
-    Only the pairs in the plan's support are priced, so rows and columns of
+    The order-p bound is the price of ``plan`` in H^s; the bottleneck bound
+    is the longest L2 edge of ``inf_plan`` (``plan`` when None).  Only the pairs in a plan's support are priced, so rows and columns of
     zero weight may hold any finite values (``measures.pushforward`` leaves
     them unevolved).  Priced on the same evolved ensembles that a re-optimised
-    distance at t is computed from, the plan is one of the couplings that
+    distance at t is computed from, each plan is one of the couplings that
     distance minimises over, so each bound dominates it by construction.
     """
+    inf_plan = plan if inf_plan is None else inf_plan
     xa, xb = _common_modes(a_t, b_t)
-    rows, cols = plan.rows, plan.cols
-    dist_hs = _pair_distances(xa, xb, rows, cols, s)
-    dist_l2 = dist_hs if s == 0 else _pair_distances(xa, xb, rows, cols, 0.0)
+    dist_hs = _pair_distances(xa, xb, plan.rows, plan.cols, s)
+    dist_l2 = _pair_distances(xa, xb, inf_plan.rows, inf_plan.cols, 0.0)
     w_p = float(np.sum(plan.mass * dist_hs**p)) ** (1.0 / p)
-    w_inf = float(np.max(dist_l2)) if rows.size else 0.0
+    w_inf = float(np.max(dist_l2)) if dist_l2.size else 0.0
     return PushforwardCost(t=t, w_p_bound=w_p, w_inf_bound=w_inf)
 
 

@@ -344,6 +344,19 @@ def test_continuity_solves_each_exact_transport_once(count_calls):
     assert rep.series[0]["bound_w_p"] == rep.series[0]["w_p"]
 
 
+def test_entropic_continuity_bounds_the_bottleneck_by_the_bottleneck_plan():
+    # the rounded Sinkhorn plan touches nearly every live pair, so its longest
+    # edge says nothing; the bottleneck part is priced over the W_inf plan,
+    # which on this coupled pair is the exact backend's plan as well
+    exact = run_continuity(parse_config_text(SMALL_CONTINUITY))
+    entropic = run_continuity(parse_config_text(SMALL_CONTINUITY + "backend = entropic\n"))
+    assert entropic.summary["bound_dominates"] is True
+    for row, ref in zip(entropic.series, exact.series, strict=True):
+        assert row["w_inf"] == ref["w_inf"]
+        assert row["bound_w_inf"] == ref["bound_w_inf"]
+        assert row["w_inf"] <= row["bound_w_inf"] < 2 * row["w_inf"]
+
+
 def test_run_and_write_samples_the_base_ensemble_once(tmp_path, count_calls):
     from kdvlab.kdve_io import read_ensemble
     from kdvlab.measures import sample_gibbs

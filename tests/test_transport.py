@@ -14,7 +14,7 @@ from kdvlab.transport import (
     SinkhornConvergenceError,
     _distance_matrix,
     _plan_from,
-    _transport_lp,
+    _restricted_lp,
     combined_metric,
     combined_metric_parts,
     cost_matrix,
@@ -238,6 +238,19 @@ def test_entropic_epsilon_trend_toward_exact():
         assert (values[-1] - exact) / exact < 0.01
 
 
+def test_entropic_default_epsilon_is_set_from_the_live_costs():
+    a, b = sparse_pair()
+    ia, ib = live(a, b)
+    want = 0.01 * float(np.median(dense_distances(a, b, 0.25)[np.ix_(ia, ib)] ** 2))
+    res = wasserstein_p_entropic(a, b, 0.25, 2.0)
+    assert res.epsilon == want
+    assert res.value == wasserstein_p_entropic(a, b, 0.25, 2.0, epsilon=want).value
+    parts = combined_metric_parts(a, b, 0.25, 2.0, backend="entropic")
+    assert parts.epsilon == want and parts.w_p == res.value
+    with pytest.raises(ValueError):
+        wasserstein_p_entropic(a, b, 0.25, 2.0, epsilon=0.0)
+
+
 def test_entropic_nonconvergence_error():
     a = uniform_ensemble(5, 3, seed=12)
     b = uniform_ensemble(5, 3, seed=13)
@@ -269,6 +282,35 @@ def test_bottleneck_uniform_matches_permutation_oracle():
         assert plan.check()
         dist = cost_matrix(a, b, 0.0, 1.0).entries
         assert np.max(dist[plan.rows, plan.cols]) <= value + 1e-12
+
+
+def coo_flow_feasible(mask, ia_units, ib_units):
+    """The max-flow test on a network assembled as COO triplets."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import maximum_flow
+
+    n, m = mask.shape
+    src, dst = n + m, n + m + 1
+    rows_i, cols_j = np.nonzero(mask)
+    row = np.concatenate([np.full(n, src), rows_i, n + np.arange(m)])
+    col = np.concatenate([np.arange(n), n + cols_j, np.full(m, dst)])
+    cap = np.concatenate([ia_units, np.full(rows_i.size, transport._FLOW_SCALE), ib_units])
+    graph = sparse.coo_matrix((cap.astype(np.int32), (row, col)), shape=(n + m + 2,) * 2)
+    return maximum_flow(graph.tocsr(), src, dst).flow_value == transport._FLOW_SCALE
+
+
+def test_flow_network_written_as_csr_decides_as_the_coo_build():
+    rng = np.random.default_rng(31)
+    answers = []
+    for _ in range(40):
+        n, m = rng.integers(1, 30, size=2)
+        wa, wb = rng.random(n) + 0.01, rng.random(m) + 0.01
+        ua = transport._round_to_total(wa / wa.sum(), transport._FLOW_SCALE)
+        ub = transport._round_to_total(wb / wb.sum(), transport._FLOW_SCALE)
+        mask = rng.random((n, m)) <= rng.uniform(0.05, 0.7)
+        answers.append(transport._flow_feasible(mask, ua, ub))
+        assert answers[-1] == coo_flow_feasible(mask, ua, ub)
+    assert 0 < sum(answers) < len(answers)  # both answers occur
 
 
 def test_bottleneck_weighted_matches_2x2_oracle():
@@ -423,7 +465,9 @@ def test_pruned_exact_equals_dense_reference():
     dist = dense_distances(a, b, s)
     dense = dist**p
     full = np.zeros((a.n, b.n))
-    full[np.ix_(ia, ib)] = _transport_lp(a.weights[ia], b.weights[ib], dense[np.ix_(ia, ib)])
+    block = dense[np.ix_(ia, ib)]
+    _, _, mass = _restricted_lp(a.weights[ia], b.weights[ib], block, np.ones(block.shape, bool))
+    full[np.ix_(ia, ib)] = mass.reshape(block.shape)  # the full LP's variables are row-major
     rows, cols = np.nonzero(full >= _MASS_EPS)  # the reference plan's row-major support
     ref_value = float(np.sum(full[rows, cols] * dense[rows, cols])) ** (1.0 / p)
     dense_value = float(np.sum(full * dense)) ** (1.0 / p)
@@ -547,11 +591,122 @@ def test_solvers_allocate_nothing_of_the_full_layout():
         return WeightedEnsemble(coeffs, w / w.sum())
 
     a, b = ensemble(4096, 40), ensemble(4096, 41)
-    tracemalloc.start()
-    try:
-        parts = combined_metric_parts(a, b, 0.25, 2.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.05 * 4096 * 4096 * 8  # 5% of one dense float64 (n, m) array
-    assert parts.plan.shape == (4096, 4096) and parts.plan.check()
+    for backend in ("exact", "entropic"):
+        tracemalloc.start()
+        try:
+            parts = combined_metric_parts(a, b, 0.25, 2.0, backend)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * 4096 * 4096 * 8  # 5% of one dense float64 (n, m) array
+        assert parts.plan.shape == (4096, 4096) and parts.plan.check()
+        assert parts.inf_plan.shape == (4096, 4096) and parts.inf_plan.check()
+
+
+# --- the bottleneck bracket ---------------------------------------------------
+
+
+def light_draw_pair():
+    """A weighted pair where one live draw of a weighs 1e-12 and sits far from every draw of b."""
+    rng = np.random.default_rng(3)
+    coeffs = 0.3 * (rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)))
+    coeffs[5] += 10.0
+    w = rng.random(6) + 0.1
+    w[5] = 0.0
+    w /= w.sum()
+    w[5], w[0] = 1e-12, w[0] - 1e-12
+    b = weighted_ensemble(5, 4, seed=4)
+    return WeightedEnsemble(coeffs, w), b
+
+
+def nearest_edge(a, b, i):
+    return float(np.min(cost_matrix(a, b, 0.0, 1.0).entries[i]))
+
+
+def test_bottleneck_reaches_every_positive_weight():
+    # the flow test rounds a weight of 1e-12 to no units at all and an LP
+    # accepts the empty row within its tolerance: only the lower bound, every
+    # live draw's nearest edge, keeps the light draw in the value
+    a, b = light_draw_pair()
+    far = nearest_edge(a, b, 5)
+    assert far > 10 * np.max(np.min(cost_matrix(a, b, 0.0, 1.0).entries[:5], axis=1))
+    assert wasserstein_inf(a, b)[0] == far
+    assert combined_metric_parts(a, b, 0.25, 2.0).w_inf == far
+    # the matching path: uniform equal-size marginals, one draw far from the rest
+    rng = np.random.default_rng(5)
+    x = 0.3 * (rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4)))
+    y = x + 1e-3 * (rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4)))
+    x[4] += 10.0
+    a, b = WeightedEnsemble(x, np.full(5, 0.2)), WeightedEnsemble(y, np.full(5, 0.2))
+    far = nearest_edge(a, b, 4)
+    assert wasserstein_inf(a, b)[0] == far == brute_winf_uniform(a, b)
+
+
+def gibbs_pair(seed, shifted):
+    from kdvlab.measures import GaussianSpec, GibbsSpec, sample_gibbs
+
+    a, _ = sample_gibbs(GibbsSpec(GaussianSpec(16, seed=seed)), 160)
+    if shifted:
+        return a, a.replace(coeffs=a.coeffs + 1e-3 * cosine_mode(3, 16).modes[None, :])
+    return a, sample_gibbs(GibbsSpec(GaussianSpec(16, seed=100 + seed)), 160)[0]
+
+
+def witness_cases():
+    """(a, b, witness) with the witness each pair's W_p plan (or an entropic one)."""
+    pairs = [sparse_pair(), light_draw_pair()]
+    pairs += [(uniform_ensemble(5, 3, seed=k), uniform_ensemble(5, 3, seed=2000 + k)) for k in range(10)]
+    pairs += [(weighted_ensemble(6, 3, seed=k), weighted_ensemble(4, 3, seed=300 + k)) for k in range(10)]
+    pairs += [gibbs_pair(k, shifted=True) for k in range(3)]
+    pairs += [gibbs_pair(k, shifted=False) for k in range(3)]
+    for a, b in pairs:
+        yield a, b, wasserstein_p_exact(a, b, 0.25, 2.0)[1]
+    for a, b in pairs[2:5] + pairs[-2:]:
+        yield a, b, wasserstein_p_entropic(a, b, 0.25, 2.0).plan
+
+
+def test_witness_leaves_the_bottleneck_value_unchanged():
+    for a, b, witness in witness_cases():
+        value, plan = wasserstein_inf(a, b, witness)
+        assert value == wasserstein_inf(a, b)[0]
+        assert plan.check()
+        # the plan carries mass only on edges at or below the value
+        assert np.max(_distance_matrix(*transport._common_modes(a, b), 0.0)[plan.rows, plan.cols]) <= value
+
+
+def test_closed_bracket_costs_no_probe_and_no_confirming_lp(count_calls):
+    from scipy.optimize import linprog
+    from scipy.sparse.csgraph import maximum_flow
+
+    a, b = gibbs_pair(0, shifted=True)
+    probes, lps = count_calls(maximum_flow), count_calls(linprog)
+    parts = combined_metric_parts(a, b, 0.25, 2.0)
+    assert len(probes) == 0 and len(lps) == 1  # the W_p solve only
+    assert parts.inf_plan is parts.plan
+    assert parts.w_inf == wasserstein_inf(a, b)[0]
+
+
+def test_a_witness_that_cannot_certify_is_ignored():
+    from kdvlab.transport import MARGINAL_TOL, TransportPlan
+
+    # support misses the light live draw, yet the residual passes check()
+    a, b = light_draw_pair()
+    rest = WeightedEnsemble(a.coeffs, np.where(np.arange(6) == 5, 0.0, a.weights))
+    _, p = wasserstein_p_exact(rest.replace(weights=rest.weights / rest.weights.sum()), b, 0.25, 2.0)
+    partial = TransportPlan(p.rows, p.cols, p.mass, p.shape, 1e-12, p.col_residual)
+    assert partial.check() and 5 not in partial.rows
+    value, plan = wasserstein_inf(a, b, partial)
+    assert value == nearest_edge(a, b, 5) and plan is not partial
+
+    # the W_p plan of a coupled pair closes the bracket, unless its residual is too large
+    a, b = gibbs_pair(1, shifted=True)
+    _, good = wasserstein_p_exact(a, b, 0.25, 2.0)
+    assert wasserstein_inf(a, b, good)[1] is good
+    loose = TransportPlan(good.rows, good.cols, good.mass, good.shape, 2 * MARGINAL_TOL, 0.0)
+    value, plan = wasserstein_inf(a, b, loose)
+    assert plan is not loose and value == wasserstein_inf(a, b)[0]
+
+
+def test_self_distance_is_zero_with_the_witness_as_the_plan():
+    for a in (sparse_pair()[0], uniform_ensemble(6, 3, seed=7), gibbs_pair(2, shifted=False)[0]):
+        parts = combined_metric_parts(a, a, 0.25, 2.0)
+        assert parts.total == 0.0 and parts.inf_plan is parts.plan
