@@ -4,10 +4,10 @@ Three solvers over the coupling polytope Marg(a, b):
 
 * an exact one (optimal assignment for uniform equal-size marginals, a
   linear program otherwise),
-* a bottleneck solver for the order-infinity distance (threshold search
-  over the sorted distinct costs, bracketed below by every live draw's
-  nearest edge and above by a witness coupling, with a flow or matching
-  feasibility test inside the bracket),
+* a bottleneck solver for the order-infinity distance (a threshold search
+  that climbs from every live draw's nearest edge, each failed max-flow or
+  matching naming the next threshold through its min cut, capped by a
+  witness coupling; the last flow is the plan),
 * an entropically regularised one whose plan is rounded back to exact
   feasibility, so its value always upper-bounds the exact optimum; its
   default regularisation is set from the live costs.
@@ -25,8 +25,9 @@ already evolved to time t) and ``write_plan_csv`` all read that support.
 the bottleneck search as the witness, and returns both plans, so a caller
 never solves the same pair twice.  Where the witness's longest edge meets
 the lower bound (as on a pair and its small perturbation), the bottleneck
-value is certified with no probe and no LP.  ``cost_matrix`` is the dense
-matrix over every draw, for callers that want it; no solver uses it.
+value is certified with no probe; the bottleneck never solves an LP.
+``cost_matrix`` is the dense matrix over every draw, for callers that want
+it; no solver uses it.
 """
 
 from __future__ import annotations
@@ -190,7 +191,9 @@ def _restricted_lp(wa, wb, cost, mask):
 
     Variables are the allowed edges in row-major order; one row constraint
     per supply and one column constraint per demand, less one redundant
-    column.  An all-True mask is the full transportation LP.
+    column.  An all-True mask is the full transportation LP, which is what
+    :func:`wasserstein_p_exact`, the only caller, solves; the mask is kept
+    for a column-generation solve on a candidate subset of edges.
     """
     n, m = cost.shape
     rows_i, cols_j = np.nonzero(mask)
@@ -335,10 +338,13 @@ def _round_to_total(weights: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
-def _flow_feasible(mask: np.ndarray, ia_units: np.ndarray, ib_units: np.ndarray) -> bool:
-    """Whether integer supplies ``ia_units`` reach demands ``ib_units`` over the edges of ``mask``.
+def _max_flow(mask: np.ndarray, ia_units: np.ndarray, ib_units: np.ndarray):
+    """A maximum flow of integer supplies ``ia_units`` to demands ``ib_units`` over ``mask``.
 
-    The network (rows 0..n-1, columns n..n+m-1, source n+m, sink n+m+1) is
+    Returns the row-to-column flow as (rows, cols, mass) in row-major order,
+    with mass in multiples of ``1 / _FLOW_SCALE``, and the rows that still
+    hold unshipped supply; the flow is feasible when no row does.  The
+    network (rows 0..n-1, columns n..n+m-1, source n+m, sink n+m+1) is
     written straight into CSR: the row-major edges of ``mask``, then each
     column to the sink, then the source to each row.
     """
@@ -350,13 +356,47 @@ def _flow_feasible(mask: np.ndarray, ia_units: np.ndarray, ib_units: np.ndarray)
     indices = np.concatenate([n + cols_j, np.full(m, dst), np.arange(n)]).astype(np.int32)
     cap = np.concatenate([np.full(rows_i.size, _FLOW_SCALE), ib_units, ia_units]).astype(np.int32)
     graph = sparse.csr_matrix((cap, indices, indptr), shape=(n + m + 2, n + m + 2))
-    return maximum_flow(graph, src, dst).flow_value == _FLOW_SCALE
+    flow = maximum_flow(graph, src, dst).flow
+    # rows 0..n-1 of the flow hold the forward edges to columns and the
+    # (negative) reverse edge from the source; keep the positive ones
+    end = flow.indptr[n]
+    r = np.repeat(np.arange(n), np.diff(flow.indptr[: n + 1]))
+    keep = flow.data[:end] > 0
+    r, c, units = r[keep], flow.indices[:end][keep] - n, flow.data[:end][keep]
+    order = np.lexsort((c, r))
+    r, c, units = r[order], c[order], units[order]
+    short = np.bincount(r, weights=units, minlength=n) < ia_units
+    return (r, c, units / _FLOW_SCALE), short
 
 
-def _matching_feasible(mask: np.ndarray) -> bool:
-    graph = sparse.csr_matrix(mask)
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    return bool(np.all(match >= 0))
+def _max_matching(mask: np.ndarray):
+    """A maximum matching on square ``mask`` as (rows, cols, 1/n each) and its unmatched rows."""
+    match = maximum_bipartite_matching(sparse.csr_matrix(mask), perm_type="column")
+    r = np.flatnonzero(match >= 0)
+    return (r, match[r], np.full(r.size, 1.0 / mask.shape[0])), match < 0
+
+
+def _cut_threshold(sub: np.ndarray, mask: np.ndarray, short: np.ndarray, r, c) -> float:
+    """The least threshold above ``mask`` at which the min cut of a failed flow can change.
+
+    The source side of the min cut is the residual reach of the rows in
+    ``short``: the columns they touch through ``mask``, the rows whose flow
+    (r, c) enters those columns, and so on until nothing new is reached.
+    No edge of ``mask`` leaves it, so the same cut stays deficient until an
+    edge from a reached row to an unreached column is admitted: every
+    threshold below the shortest such edge is infeasible too.  Infinite
+    when no edge crosses the cut.
+    """
+    rows, cols = short.copy(), np.zeros(mask.shape[1], bool)
+    new_rows = short
+    while new_rows.any():
+        new_cols = mask[new_rows].any(axis=0) & ~cols
+        cols |= new_cols
+        new_rows = np.zeros_like(rows)
+        new_rows[r[new_cols[c]]] = True
+        new_rows &= ~rows
+        rows |= new_rows
+    return sub[np.ix_(rows, ~cols)].min(initial=np.inf)
 
 
 def _witness_edge(witness: TransportPlan | None, ia, ib, sub: np.ndarray):
@@ -381,67 +421,53 @@ def wasserstein_inf(
 ) -> tuple[float, TransportPlan]:
     """Bottleneck transport value in L2: the least threshold carrying a feasible plan.
 
-    The search runs over the sorted distinct live-pair distances inside a
-    bracket.  From below: every live row and column needs one edge, so the
-    value is at least the largest nearest-edge distance of any live draw,
-    however light.  From above: an optional ``witness``, a coupling of the
-    same pair (``combined_metric_parts`` passes the order-p plan), carries
-    all mass at its longest L2 edge.  The witness is used only if its
-    residuals pass ``check`` and its support rows and columns are exactly
-    the live draws.  When the search ends at the witness's level, the
-    witness is returned as the plan and no confirming LP is solved; when
-    the bracket is a single level, no threshold is probed either.
+    The search climbs from a lower bound: every live row and column needs
+    one edge, so the value is at least the largest nearest-edge distance of
+    any live draw, however light.  At each threshold λ a maximum flow on the
+    edges ``<= λ`` decides feasibility: integer units of mass (weights
+    rounded to multiples of ``1 / _FLOW_SCALE`` by largest remainder) for
+    general marginals, a bipartite matching for uniform equal-size ones.
+    When the flow falls short, its min cut (the rows reachable from unshipped
+    supply along residual edges) stays deficient at every threshold below
+    its shortest crossing edge, so the search jumps straight to that edge.
+    The flow at the first feasible threshold is the plan: units over
+    ``_FLOW_SCALE``, within 2^-30 of the weights, or 1/n per matched pair.
 
-    Inside the bracket, feasibility at a candidate threshold is decided by
-    bipartite matching for uniform equal-size marginals and by an integer
-    max-flow otherwise.  A flow threshold is confirmed by an exact LP, which
-    also provides the reported plan (rounding in the flow test can never
-    survive that confirmation).  Zero-weight support points are pruned
+    An optional ``witness``, a coupling of the same pair
+    (``combined_metric_parts`` passes the order-p plan), carries all mass at
+    its longest L2 edge and so caps the search: when the climb reaches that
+    edge, the witness is returned as the plan, and when the lower bound
+    already equals it, no threshold is probed at all.  The witness is used
+    only if its residuals pass ``check`` and its support rows and columns
+    are exactly the live draws.  Zero-weight support points are pruned
     before any distance is built.
     """
     _check_marginals(a, b)
     ia, ib, xa, xb = _live_support(a, b)
     sub = _distance_matrix(xa, xb, 0.0)
-    wa, wb = a.weights[ia], b.weights[ib]
-    levels = np.unique(sub)
-    lower = max(sub.min(axis=1).max(), sub.min(axis=0).max())
+    if _uniform_equal(a, b):
+        probe = _max_matching
+    else:
+        ua = _round_to_total(a.weights[ia], _FLOW_SCALE)
+        ub = _round_to_total(b.weights[ib], _FLOW_SCALE)
+        probe = lambda mask: _max_flow(mask, ua, ub)
     top = _witness_edge(witness, ia, ib, sub)
-    lo = int(np.searchsorted(levels, lower))
-    hi = levels.size - 1 if top is None else int(np.searchsorted(levels, top))
-    uniform = _uniform_equal(a, b)
-    if uniform:
-        feasible = lambda lam: _matching_feasible(sub <= lam)
-    else:
-        ua = _round_to_total(wa, _FLOW_SCALE)
-        ub = _round_to_total(wb, _FLOW_SCALE)
-        feasible = lambda lam: _flow_feasible(sub <= lam, ua, ub)
-    if lo < hi and feasible(levels[lo]):
-        hi = lo
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(levels[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    idx = hi
-    if top is not None and levels[idx] == top:
-        return float(levels[idx]), witness
-    if uniform:
-        # the matching test is exact; the matching itself is the plan
-        match = maximum_bipartite_matching(
-            sparse.csr_matrix(sub <= levels[idx]), perm_type="column"
-        )
-        support = np.arange(match.size), match, np.full(match.size, 1.0 / a.n)
-    else:
-        # the flow test rounds masses to an integer grid; confirm the
-        # threshold with an exact feasibility LP, which also yields the plan
-        support = _restricted_lp(wa, wb, sub, sub <= levels[idx])
-        while support is None and idx + 1 < levels.size:
-            idx += 1
-            support = _restricted_lp(wa, wb, sub, sub <= levels[idx])
-        if support is None:
+    lam = max(sub.min(axis=1).max(), sub.min(axis=0).max())
+    while top is None or lam < top:
+        mask = sub <= lam
+        flow, short = probe(mask)
+        if not short.any():
+            return float(lam), _plan_from(*flow, ia, ib, a, b)[0]
+        nxt = _cut_threshold(sub, mask, short, *flow[:2])
+        # The flow is exact integer arithmetic, so the jump always lands on a
+        # finite edge above lam: were every column reached, each would be
+        # saturated (an unsaturated one ends an augmenting path) and the flow
+        # complete; a crossing edge within lam would have put its column in
+        # the reach.  The check only turns a broken invariant into an error.
+        if not lam < nxt < np.inf:
             raise RuntimeError("bottleneck feasibility could not be established")
-    return float(levels[idx]), _plan_from(*support, ia, ib, a, b)[0]
+        lam = nxt
+    return float(top), witness
 
 
 # --- combined metric and pushforward bounds ---------------------------------
@@ -475,11 +501,12 @@ def combined_metric_parts(
     """Combined metric split into its parts, each with the plan it was solved for.
 
     The order-p part is solved first, and its plan is the witness that
-    brackets the bottleneck search from above (see :func:`wasserstein_inf`):
-    where the bracket closes, ``inf_plan`` is ``plan`` and the bottleneck
-    costs no probe and no LP.  With the entropic backend ``plan`` is the
-    rounded Sinkhorn plan whose price is the reported ``w_p``, and
-    ``epsilon`` the regularisation used (by default set from the live costs).
+    caps the bottleneck search from above (see :func:`wasserstein_inf`):
+    where the search reaches the witness's longest edge, ``inf_plan`` is
+    ``plan``, and where that edge is the lower bound, the bottleneck costs
+    no probe.  With the entropic backend ``plan`` is the rounded Sinkhorn
+    plan whose price is the reported ``w_p``, and ``epsilon`` the
+    regularisation used (by default set from the live costs).
     """
     iterations = None
     if backend == "exact":

@@ -308,7 +308,7 @@ def test_flow_network_written_as_csr_decides_as_the_coo_build():
         ua = transport._round_to_total(wa / wa.sum(), transport._FLOW_SCALE)
         ub = transport._round_to_total(wb / wb.sum(), transport._FLOW_SCALE)
         mask = rng.random((n, m)) <= rng.uniform(0.05, 0.7)
-        answers.append(transport._flow_feasible(mask, ua, ub))
+        answers.append(not transport._max_flow(mask, ua, ub)[1].any())
         assert answers[-1] == coo_flow_feasible(mask, ua, ub)
     assert 0 < sum(answers) < len(answers)  # both answers occur
 
@@ -710,3 +710,189 @@ def test_self_distance_is_zero_with_the_witness_as_the_plan():
     for a in (sparse_pair()[0], uniform_ensemble(6, 3, seed=7), gibbs_pair(2, shifted=False)[0]):
         parts = combined_metric_parts(a, a, 0.25, 2.0)
         assert parts.total == 0.0 and parts.inf_plan is parts.plan
+
+
+# --- the cut-guided climb against the bisection it replaced -------------------
+
+
+def bisection_winf(a, b, witness=None):
+    """The bisection over sorted levels with a confirming LP, as (value, plan, probes).
+
+    This is the search ``wasserstein_inf`` ran before the climb: a feasibility
+    probe at the lower bound, bisection up to the witness's edge (or the top
+    level), then an exact LP on the final mask for the plan.  Probes count
+    every max-flow and matching call, the uniform path's plan included.
+    """
+    from scipy import sparse
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    ia, ib, xa, xb = transport._live_support(a, b)
+    sub = _distance_matrix(xa, xb, 0.0)
+    wa, wb = a.weights[ia], b.weights[ib]
+    levels = np.unique(sub)
+    lower = max(sub.min(axis=1).max(), sub.min(axis=0).max())
+    top = transport._witness_edge(witness, ia, ib, sub)
+    lo = int(np.searchsorted(levels, lower))
+    hi = levels.size - 1 if top is None else int(np.searchsorted(levels, top))
+    uniform = transport._uniform_equal(a, b)
+    ua = transport._round_to_total(wa, transport._FLOW_SCALE)
+    ub = transport._round_to_total(wb, transport._FLOW_SCALE)
+    probes = 0
+
+    def matching(lam):
+        nonlocal probes
+        probes += 1
+        return maximum_bipartite_matching(sparse.csr_matrix(sub <= lam), perm_type="column")
+
+    def feasible(lam):
+        nonlocal probes
+        if uniform:
+            return bool(np.all(matching(lam) >= 0))
+        probes += 1
+        return coo_flow_feasible(sub <= lam, ua, ub)
+
+    if lo < hi and feasible(levels[lo]):
+        hi = lo
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    idx = hi
+    if top is not None and levels[idx] == top:
+        return float(levels[idx]), witness, probes
+    if uniform:
+        match = matching(levels[idx])
+        support = np.arange(match.size), match, np.full(match.size, 1.0 / a.n)
+    else:
+        support = _restricted_lp(wa, wb, sub, sub <= levels[idx])
+        while support is None and idx + 1 < levels.size:
+            idx += 1
+            support = _restricted_lp(wa, wb, sub, sub <= levels[idx])
+    return float(levels[idx]), _plan_from(*support, ia, ib, a, b)[0], probes
+
+
+def quantized_pair(seed, n, m, uniform):
+    """Coefficients on a coarse integer lattice, so many pairwise distances tie."""
+    rng = np.random.default_rng(seed)
+
+    def make(k):
+        coeffs = 0.3 * (rng.integers(-1, 2, (k, 3)) + 1j * rng.integers(-1, 2, (k, 3)))
+        w = np.full(k, 1.0) if uniform else rng.integers(1, 5, k).astype(float)
+        return WeightedEnsemble(coeffs, w / w.sum())
+
+    return make(n), make(m)
+
+
+def bottleneck_cases():
+    """(a, b, witness) pairs over every search path; the witness is None or the W_p plan."""
+    pairs = [sparse_pair(), light_draw_pair()]
+    pairs += [(weighted_ensemble(n, 4, seed=k), weighted_ensemble(n + 3, 4, seed=50 + k))
+              for k, n in enumerate((3, 8, 20, 40))]
+    pairs += [quantized_pair(k, 12, 9, uniform=False) for k in range(4)]
+    pairs += [quantized_pair(10 + k, 10, 10, uniform=True) for k in range(3)]
+    pairs += [(uniform_ensemble(n, 3, seed=k), uniform_ensemble(n, 3, seed=70 + k))
+              for k, n in enumerate((4, 12, 30))]
+    # one complex mode: uniform pairs whose value lies above the lower bound
+    pairs += [(uniform_ensemble(n, 1, seed=k), uniform_ensemble(n, 1, seed=70 + k))
+              for k, n in ((2, 6), (1, 12), (0, 30))]
+    pairs += [gibbs_pair(k, shifted=True) for k in range(2)]
+    pairs += [gibbs_pair(k, shifted=False) for k in range(3)]
+    for a, b in pairs:
+        yield a, b, None
+        yield a, b, wasserstein_p_exact(a, b, 0.25, 2.0)[1]
+
+
+def test_cut_search_equals_the_bisection_it_replaced(count_calls):
+    from scipy.optimize import linprog
+    from scipy.sparse.csgraph import maximum_bipartite_matching, maximum_flow
+
+    probes = count_calls(maximum_flow), count_calls(maximum_bipartite_matching)
+    lps = count_calls(linprog)
+    climbed = 0
+    for a, b, witness in bottleneck_cases():
+        want, _, want_probes = bisection_winf(a, b, witness)
+        before = len(probes[0]) + len(probes[1]), len(lps)
+        value, plan = wasserstein_inf(a, b, witness)
+        made = len(probes[0]) + len(probes[1]) - before[0]
+        assert value == want
+        assert made <= want_probes
+        assert len(lps) == before[1]  # no LP inside the bottleneck search
+        assert plan.check()
+        if plan is witness:
+            continue
+        climbed += made > 1
+        assert max(plan.row_residual, plan.col_residual) < 2.0**-30
+        ia, ib = live(a, b)
+        edges = _distance_matrix(*transport._common_modes(a, b), 0.0)[plan.rows, plan.cols]
+        every_draw_holds_a_unit = all(
+            np.all(transport._round_to_total(w, transport._FLOW_SCALE) > 0)
+            for w in (a.weights[ia], b.weights[ib])
+        )
+        if every_draw_holds_a_unit:
+            assert edges.max() == value
+        else:
+            assert edges.max() <= value
+    assert climbed > 10  # the cases exercise the jumps, not only the lower bound
+
+
+def reference_jump(sub, lam, ua, ub):
+    """The least edge leaving the residual reach of a max flow at ``lam``, by a generic BFS.
+
+    The source side of the minimal min cut is the same for every maximum
+    flow, so an Edmonds-Karp flow on a COO-built network names the same cut
+    as the search's own flow.
+    """
+    from scipy import sparse
+    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+
+    n, m = sub.shape
+    src, dst = n + m, n + m + 1
+    rows_i, cols_j = np.nonzero(sub <= lam)
+    row = np.concatenate([np.full(n, src), rows_i, n + np.arange(m)])
+    col = np.concatenate([np.arange(n), n + cols_j, np.full(m, dst)])
+    cap = np.concatenate([ua, np.full(rows_i.size, ua.sum()), ub]).astype(np.int32)
+    graph = sparse.coo_matrix((cap, (row, col)), shape=(n + m + 2,) * 2).tocsr()
+    flow = maximum_flow(graph, src, dst, method="edmonds_karp").flow
+    residual = sparse.csr_matrix(graph.toarray() - flow.toarray() > 0)
+    reach = breadth_first_order(residual, src, return_predecessors=False)
+    rows = reach[reach < n]
+    cols = np.setdiff1d(np.arange(m), reach[(reach >= n) & (reach < n + m)] - n)
+    return sub[np.ix_(rows, cols)].min()
+
+
+def test_each_jump_lands_on_the_least_edge_leaving_the_min_cut(monkeypatch):
+    for a, b, _ in itertools.islice(bottleneck_cases(), 0, None, 2):
+        ia, ib, xa, xb = transport._live_support(a, b)
+        sub = _distance_matrix(xa, xb, 0.0)
+        if transport._uniform_equal(a, b):
+            ua = ub = np.ones(a.n, np.int64)
+        else:
+            ua = transport._round_to_total(a.weights[ia], transport._FLOW_SCALE)
+            ub = transport._round_to_total(b.weights[ib], transport._FLOW_SCALE)
+        seen = []
+        for name in ("_max_flow", "_max_matching"):
+            def spy(mask, *units, probe=getattr(transport, name)):
+                seen.append(sub[mask].max())
+                return probe(mask, *units)
+            monkeypatch.setattr(transport, name, spy)
+        value, _ = wasserstein_inf(a, b)
+        monkeypatch.undo()
+        assert seen[0] == max(sub.min(axis=1).max(), sub.min(axis=0).max())
+        assert seen[-1] == value
+        for lam, nxt in zip(seen, seen[1:]):
+            assert nxt == reference_jump(sub, lam, ua, ub)
+
+
+def test_a_cut_that_cannot_raise_the_threshold_stops_the_search(monkeypatch):
+    # a short row whose reach covers every column leaves no crossing edge
+    sub = np.array([[0.1, 0.2], [0.3, 0.4]])
+    none = np.array([], int)
+    short = np.array([True, False])
+    assert transport._cut_threshold(sub, sub <= 0.4, short, none, none) == np.inf
+    a, b = gibbs_pair(1, shifted=False)  # climbs above its lower bound
+    for stuck in (lambda sub, mask, *flow: np.inf, lambda sub, mask, *flow: sub[mask].max()):
+        monkeypatch.setattr(transport, "_cut_threshold", stuck)
+        with pytest.raises(RuntimeError, match="bottleneck feasibility"):
+            wasserstein_inf(a, b)
