@@ -4,9 +4,11 @@ The equation integrated is u_t + u_xxx + (u^2/2)_x = 0.  In mode space the
 dispersive part is the exact phase factor exp(i k^3 t), so the stepper is an
 integrating-factor Runge-Kutta scheme of order four: the linear group is
 applied exactly each step and only the quadratic term is integrated
-numerically, evaluated pseudospectrally on a zero-padded grid so the product
-is alias-free.  Every evolution (single field, projected, batch) goes through
-one stepper that steps the whole batch in buffers allocated once per call.
+numerically, evaluated pseudospectrally on a zero-padded grid of at least
+3M+1 points (the least 2^a, 3 * 2^a or 5 * 2^a, see ``_grid_size``) so the
+product is alias-free.  Every evolution (single field, projected, batch)
+goes through one stepper that steps the whole batch in buffers allocated
+once per call.
 """
 
 from __future__ import annotations
@@ -82,12 +84,23 @@ def linear_flow_many(coeffs: np.ndarray, t: float) -> np.ndarray:
 
 
 def _grid_size(m: int, dealias: bool) -> int:
-    # padded grid >= 3M+1 makes the quadratic product alias-free in the band
-    need = 3 * m + 1 if dealias else 2 * m + 2
-    n = 8
-    while n < need:
-        n *= 2
-    return n
+    """Points of the padded grid on which the stepper squares the field.
+
+    Dealiased, it is the least 2^a, 3 * 2^a or 5 * 2^a of at least 3m+1: a
+    product of two modes of size <= m has modes q with |q| <= 2m, whose
+    aliases q -/+ N lie at least N - 2m >= m + 1 away, outside the band.
+    Those lengths are fast for the FFT, and the rule never returns more
+    than the power of two.  Without dealiasing the grid stays the least
+    power of two of at least 2m+2, because the modes an aliased product
+    folds back depend on the grid.
+    """
+    need, bases = (3 * m + 1, (1, 3, 5)) if dealias else (2 * m + 2, (1,))
+    sizes = []
+    for n in bases:
+        while n < need:
+            n *= 2
+        sizes.append(n)
+    return min(sizes)
 
 
 def _ifrk4(chat: np.ndarray, n_steps: int, h: float, m: int, band: int, grid_n: int) -> np.ndarray:
@@ -113,7 +126,6 @@ def _ifrk4(chat: np.ndarray, n_steps: int, h: float, m: int, band: int, grid_n: 
     n1, n2, n3, n4, a, b = (np.empty_like(chat) for _ in range(6))
 
     def rhs(x: np.ndarray, out: np.ndarray) -> None:
-        # grid_n is a power of two, so the "forward" scalings are exact
         spectrum[:, 1 : band + 1] = x[:, 1 : band + 1]
         np.fft.irfft(spectrum, grid_n, axis=-1, norm="forward", out=grid)
         np.multiply(grid, grid, out=grid)

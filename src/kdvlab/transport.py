@@ -2,7 +2,9 @@
 
 Three solvers over the coupling polytope Marg(a, b):
 
-* an exact one (optimal assignment for uniform equal-size marginals, a
+* an exact one (an optimal assignment where it is certified optimal: for
+  uniform equal-size marginals, and wherever it carries every live weight
+  onto an equal one, as between an ensemble and its perturbed copy; a
   linear program otherwise),
 * a bottleneck solver for the order-infinity distance (a threshold search
   that climbs from every live draw's nearest edge, each failed max-flow or
@@ -25,7 +27,9 @@ already evolved to time t) and ``write_plan_csv`` all read that support.
 the bottleneck search as the witness, and returns both plans, so a caller
 never solves the same pair twice.  Where the witness's longest edge meets
 the lower bound (as on a pair and its small perturbation), the bottleneck
-value is certified with no probe; the bottleneck never solves an LP.
+value is certified with no probe; the bottleneck never solves an LP.  On
+such a pair, whose weights agree, the order-p part is certified from one
+assignment too, so the whole metric runs no LP and no max-flow.
 ``cost_matrix`` is the dense matrix over every draw, for callers that want
 it; no solver uses it.
 """
@@ -214,21 +218,33 @@ def wasserstein_p_exact(
 ) -> tuple[float, TransportPlan]:
     """Exact order-p transport distance and an optimal plan.
 
-    Uniform equal-size marginals reduce to an optimal assignment; anything
-    else is solved as a linear program.  Zero-weight support points are
-    pruned before any distance is built; the plan holds only the pairs that
-    carry mass, and the value is priced over them.
+    A square live block is first solved as an optimal assignment c.  For
+    uniform equal-size marginals that is the plan, mass 1/n per pair.  It is
+    also the plan, mass ``wa[i]`` on (i, c(i)), whenever the live weights
+    satisfy ``wa == wb[c]`` exactly, as for an ensemble and a perturbed copy
+    of it: the plan is then a coupling, and the assignment duals (u, v),
+    feasible for the transport LP (u_i + v_j <= C_ij) and tight on its
+    support, price it at sum_i wa_i u_i + sum_j wb_j v_j, so LP duality
+    certifies it optimal.  Anything else is solved as a linear program.
+    Zero-weight support points are pruned before any distance is built; the
+    plan holds only the pairs that carry mass, and the value is priced over
+    them.
     """
     if not (p >= 1 and math.isfinite(p)):
         raise ValueError("the transport order must be a finite p >= 1")
     _check_marginals(a, b)
     ia, ib, xa, xb = _live_support(a, b)
+    wa, wb = a.weights[ia], b.weights[ib]
     cost = _costs(xa, xb, s, p)
-    if _uniform_equal(a, b):
+    support = None
+    if ia.size == ib.size:
         r, c = linear_sum_assignment(cost)
-        support = r, c, np.full(r.size, 1.0 / a.n)
-    else:
-        support = _restricted_lp(a.weights[ia], b.weights[ib], cost, np.ones(cost.shape, bool))
+        if _uniform_equal(a, b):
+            support = r, c, np.full(r.size, 1.0 / a.n)
+        elif np.array_equal(wa, wb[c]):
+            support = r, c, wa
+    if support is None:
+        support = _restricted_lp(wa, wb, cost, np.ones(cost.shape, bool))
         if support is None:
             raise RuntimeError("transport LP failed")
     plan, r, c = _plan_from(*support, ia, ib, a, b)

@@ -182,8 +182,8 @@ def _oracle_rhs(m, nl_band, grid_n):
     def rhs(chat):
         buf = np.zeros(chat.shape[:-1] + (n_bins,), dtype=np.complex128)
         buf[..., 1 : nl_band + 1] = chat[..., 1 : nl_band + 1]
-        u = np.fft.irfft(buf, grid_n, axis=-1) * grid_n
-        what = np.fft.rfft(u * u, axis=-1) / grid_n
+        u = np.fft.irfft(buf, grid_n, axis=-1, norm="forward")
+        what = np.fft.rfft(u * u, axis=-1, norm="forward")
         out = -0.5 * ik * what[..., : m + 1]
         out[..., nl_band + 1 :] = 0.0
         return out
@@ -221,14 +221,55 @@ def _oracle_evolve(coeffs, t, cfg, band=None):
     return chat[..., 1:] / flow.MODE_TO_EXP
 
 
-def test_grid_size_is_a_power_of_two():
-    # the stepper's norm="forward" transforms are exact only on such grids
+def _smooth(n):
+    """Whether n is 2^a, 3 * 2^a or 5 * 2^a."""
+    while n % 2 == 0:
+        n //= 2
+    return n in (1, 3, 5)
+
+
+def test_grid_size_is_the_least_fast_alias_free_length():
     from kdvlab.flow import _grid_size
 
     for m in range(4, 257):
-        for dealias in (True, False):
-            n = _grid_size(m, dealias)
-            assert n & (n - 1) == 0 and n >= (3 * m + 1 if dealias else 2 * m + 2)
+        n = _grid_size(m, True)
+        power = 1 << (3 * m).bit_length()  # least power of two >= 3m+1
+        assert 3 * m + 1 <= n <= power and _smooth(n)
+        assert not any(_smooth(k) for k in range(3 * m + 1, n))
+        # the aliased scheme keeps the least power of two >= 2m+2
+        assert _grid_size(m, False) == 1 << (2 * m + 1).bit_length()
+    assert [_grid_size(m, True) for m in (16, 24, 31, 48, 64, 80, 96)] == [64, 80, 96, 160, 256, 256, 320]
+
+
+def _convolution_rhs(chat, m, band):
+    """-(ik/2) sum_{j+l=k} u_j u_l over the modes |j|, |l| <= band, directly in mode space."""
+    x = chat[1 : band + 1]
+    full = np.concatenate([np.conj(x[::-1]), [0.0], x])  # modes -band..band
+    square = np.convolve(full, full)[2 * band :]  # modes 0..2 band
+    out = np.zeros(m + 1, dtype=np.complex128)
+    k = np.arange(min(m, 2 * band) + 1)
+    out[k] = -0.5j * k * square[k]
+    out[band + 1 :] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("m", [4, 16, 31, 48, 96])
+def test_rhs_on_the_padded_grid_is_the_alias_free_convolution(m):
+    # the stepper's rhs is the oracle's bit for bit (the test below); here the
+    # oracle on the grid _grid_size picks equals the direct convolution, and a
+    # grid of 3m points, one short, lets the product's top modes fold back
+    from kdvlab.flow import _grid_size
+
+    rng = np.random.default_rng(m)
+    chat = np.zeros(m + 1, dtype=np.complex128)
+    chat[1:] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    for band in (m, max(1, m // 3)):
+        want = _convolution_rhs(chat, m, band)
+        got = _oracle_rhs(m, band, _grid_size(m, True))(chat)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    want = _convolution_rhs(chat, m, m)
+    short = _oracle_rhs(m, m, 3 * m)(chat)
+    assert np.max(np.abs(short - want)) > 1e-3 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("m", [16, 48, 64])

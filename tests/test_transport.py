@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_plan
 from kdvlab import transport
@@ -680,9 +682,106 @@ def test_closed_bracket_costs_no_probe_and_no_confirming_lp(count_calls):
     a, b = gibbs_pair(0, shifted=True)
     probes, lps = count_calls(maximum_flow), count_calls(linprog)
     parts = combined_metric_parts(a, b, 0.25, 2.0)
-    assert len(probes) == 0 and len(lps) == 1  # the W_p solve only
+    assert len(probes) == 0 and len(lps) == 0  # W_p is certified from its assignment
     assert parts.inf_plan is parts.plan
     assert parts.w_inf == wasserstein_inf(a, b)[0]
+
+
+# --- the assignment certificate of exact W_p -----------------------------------
+
+
+def lp_oracle(a, b, s, p):
+    """Exact W_p and its plan from the full transportation LP on the live block."""
+    ia, ib, xa, xb = transport._live_support(a, b)
+    cost = transport._costs(xa, xb, s, p)
+    support = _restricted_lp(a.weights[ia], b.weights[ib], cost, np.ones(cost.shape, bool))
+    plan, r, c = _plan_from(*support, ia, ib, a, b)
+    return float(np.sum(plan.mass * cost[r, c])) ** (1.0 / p), plan
+
+
+def assert_same_plan(got, want):
+    for name in ("rows", "cols", "mass"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert (got.shape, got.row_residual, got.col_residual) == (want.shape, want.row_residual, want.col_residual)
+
+
+def test_equal_weights_are_certified_from_the_assignment_with_no_lp(count_calls):
+    from scipy.optimize import linprog
+
+    lps = count_calls(linprog)
+    for k in range(3):
+        a, b = gibbs_pair(k, shifted=True)
+        assert not np.allclose(a.weights[a.weights > 0], a.weights.max())  # not uniform
+        value, plan = wasserstein_p_exact(a, b, 0.25, 2.0)
+        assert lps == []
+        want, want_plan = lp_oracle(a, b, 0.25, 2.0)
+        lps.clear()
+        assert value == want
+        assert_same_plan(plan, want_plan)
+
+
+def test_unequal_or_non_square_weights_solve_one_lp(count_calls):
+    from scipy.optimize import linear_sum_assignment, linprog
+
+    # b's weights are a's permuted, but its draws are independent of a's, so
+    # the optimal assignment carries some weight onto an unequal one
+    a = weighted_ensemble(6, 3, seed=21)
+    b = weighted_ensemble(6, 3, seed=22).replace(weights=a.weights[::-1].copy())
+    _, c = linear_sum_assignment(cost_matrix(a, b, 0.25, 2.0).entries)
+    assert not np.array_equal(a.weights, b.weights[c])
+    lps = count_calls(linprog)
+    for a, b in [(a, b), (weighted_ensemble(6, 3, seed=23), weighted_ensemble(4, 3, seed=24))]:
+        value, plan = wasserstein_p_exact(a, b, 0.25, 2.0)
+        assert len(lps) == 1
+        want, want_plan = lp_oracle(a, b, 0.25, 2.0)
+        lps.clear()
+        assert value == want
+        assert_same_plan(plan, want_plan)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.integers(2, 4),
+    noise=st.sampled_from([1e-3, 10.0]),
+    data=st.data(),
+)
+def test_permuted_weights_give_the_lp_value(n, seed, ties, noise, data):
+    # b's draws are a's, permuted and moved by noise, with a's weights permuted
+    # the same way; small noise lets the certificate fire, large noise and
+    # tied weights (drawn from `ties` levels) exercise both paths
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    w = rng.integers(1, ties + 1, n).astype(float)
+    a = WeightedEnsemble(coeffs, w / w.sum())
+    perm = np.array(data.draw(st.permutations(range(n))))
+    moved = coeffs[perm] + noise * (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))
+    b = WeightedEnsemble(moved, a.weights[perm])
+    value, plan = wasserstein_p_exact(a, b, 0.25, 2.0)
+    want, _ = lp_oracle(a, b, 0.25, 2.0)
+    assert abs(value - want) <= 1e-14 * want
+    assert plan.check()
+
+
+def test_distance_of_a_weighted_file_with_itself_is_zero_with_no_lp(tmp_path, capsys, count_calls):
+    import json
+
+    from scipy.optimize import linprog
+
+    from kdvlab.cli import EXIT_OK, cli_entry
+    from kdvlab.kdve_io import read_ensemble
+
+    path = tmp_path / "g.kdve"
+    assert cli_entry(["sample", "--measure", "gibbs", "--modes", "6", "--n", "96",
+                      "--seed", "4", "--out", str(path)]) == EXIT_OK
+    w = read_ensemble(path).weights
+    assert np.unique(w[w > 0]).size > 1  # weights are not uniform
+    capsys.readouterr()
+    lps = count_calls(linprog)
+    assert cli_entry(["distance", "--a", str(path), "--b", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["distance"] == 0.0
+    assert lps == []
 
 
 def test_a_witness_that_cannot_certify_is_ignored():
