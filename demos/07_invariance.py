@@ -7,14 +7,14 @@ the ensemble-to-pushforward distance inside the band spanned by independent
 same-law ensemble pairs.
 """
 
-from kdvlab.experiments import parse_config_text, run_invariance
+from kdvlab.experiments import parse_config_text, run_experiment
 
 print("== linear flow: per-mode second moments are exactly frozen ==")
 linear_cfg = parse_config_text(
     "experiment = invariance_linear\nmeasure = gaussian\nmodes = 16\n"
     "ensemble_size = 1024\ntime_grid = 0.5, 2.0\nseed = 1\n"
 )
-rep = run_invariance(linear_cfg)
+rep = run_experiment(linear_cfg)
 for row in rep.series:
     print(f"t = {row['t']:4}: worst per-mode drift {row['max_mode_moment_drift']:.2e}")
 
@@ -24,7 +24,7 @@ nonlinear_cfg = parse_config_text(
     "ensemble_size = 512\nsolver_modes = 48\ntime_grid = 0.5\n"
     "bootstrap_replicas = 60\nseed = 1\n"
 )
-rep = run_invariance(nonlinear_cfg)
+rep = run_experiment(nonlinear_cfg)
 s = rep.summary
 print(f"E|u|_L2^2 drift   = {s['l2_sq_drift']:.2e}  ({s['l2_sq_drift_z']:.2f} bootstrap SEs)")
 print(f"E int u^3 drift   = {s['cubic_drift']:.2e}  ({s['cubic_drift_z']:.2f} bootstrap SEs)")

@@ -67,7 +67,6 @@ from .spectral import (
 )
 from .transport import (
     CombinedDistance,
-    CostMatrix,
     EntropicResult,
     PushforwardCost,
     SinkhornConvergenceError,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -97,6 +98,9 @@ def _usage_type(parse):
 _positive_int = _checked(int, lambda v: v > 0, "positive int")
 _positive_float = _checked(float, lambda v: v > 0, "positive float")
 _non_negative_int = _checked(int, lambda v: v >= 0, "non-negative int")
+_regularity = _checked(float, lambda v: 0 <= v < math.inf, "finite float >= 0")
+_order = _checked(float, lambda v: 1 <= v < math.inf, "finite float >= 1")
+_regularisation = _checked(float, lambda v: 0 < v < math.inf, "finite positive float")
 _solver_modes = _usage_type(lambda text: SolverConfig(n_modes=int(text)).n_modes)
 
 
@@ -219,12 +223,8 @@ def _cmd_experiment(args) -> int:
         overrides["experiment"] = args.name
     if args.seed is not None:
         overrides["seed"] = args.seed
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("KDV_TRANSPORT_THREADS")
-        threads = int(env) if env else None
-    if threads is not None:
-        overrides["threads"] = threads
+    if args.threads is not None:
+        overrides["threads"] = args.threads
     if args.format:
         overrides["format"] = args.format
     cfg = load_config(args.config, **overrides)
@@ -280,10 +280,10 @@ def build_parser() -> _Parser:
     p_dist = sub.add_parser("distance", help="combined metric between two ensembles")
     p_dist.add_argument("--a", type=str, required=True)
     p_dist.add_argument("--b", type=str, required=True)
-    p_dist.add_argument("--s", type=float, default=0.25)
-    p_dist.add_argument("--p", type=float, default=2.0)
+    p_dist.add_argument("--s", type=_regularity, default=0.25)
+    p_dist.add_argument("--p", type=_order, default=2.0)
     p_dist.add_argument("--backend", choices=["exact", "entropic"], default="exact")
-    p_dist.add_argument("--epsilon", type=float, default=None)
+    p_dist.add_argument("--epsilon", type=_regularisation, default=None)
     p_dist.add_argument("--out", type=str, default=None)
 
     p_exp = sub.add_parser("experiment", help="run a configured experiment")

@@ -109,8 +109,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown perturbation {self.perturbation!r}")
         if self.measure not in ("gaussian", "gibbs"):
             raise ConfigError(f"unknown measure {self.measure!r}")
-        if not self.p >= 1:
-            raise ConfigError("the transport order must satisfy p >= 1")
+        if not 1 <= self.p < math.inf:
+            raise ConfigError("the transport order must be a finite p >= 1")
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
+            raise ConfigError("epsilon must be finite and positive")
         if self.experiment != "galerkin" and not 0 < self.s < 0.5:
             raise ConfigError("measure experiments need 0 < s < 1/2")
         if self.experiment == "galerkin" and not (0 <= self.s < self.sigma):
@@ -468,12 +470,6 @@ def _null_band(cfg: ExperimentConfig, n_replicas: int) -> np.ndarray:
     return np.array(values)
 
 
-def run_invariance(cfg: ExperimentConfig) -> ExperimentReport:
-    if cfg.experiment == "invariance_linear" or cfg.measure == "gaussian":
-        return _run_invariance_linear(cfg)
-    return _run_invariance_nonlinear(cfg)
-
-
 def _run_invariance_linear(cfg: ExperimentConfig) -> ExperimentReport:
     """Push a Gaussian ensemble by the free group; per-mode moments must not move."""
     ens = sample_gaussian(cfg.gaussian_spec(), cfg.ensemble_size)
@@ -632,8 +628,8 @@ def run_tails(cfg: ExperimentConfig) -> ExperimentReport:
 _RUNNERS = {
     "continuity": run_continuity,
     "stability": run_stability,
-    "invariance_linear": run_invariance,
-    "invariance_nonlinear": run_invariance,
+    "invariance_linear": _run_invariance_linear,
+    "invariance_nonlinear": _run_invariance_nonlinear,
     "galerkin": run_galerkin,
     "tails": run_tails,
 }

@@ -17,21 +17,21 @@ Three solvers over the coupling polytope Marg(a, b):
 Distances are |x - y|_{H^s} raised to the requested power; the combined
 metric adds the bottleneck value in L2 to the p-cost in H^s.
 
-Zero-weight draws carry no mass in any coupling, so every solver gathers
-the positive-weight rows and columns first and builds distances on that
-live block only; a Gibbs ensemble keeps only a few percent of its draws.
-A plan is stored as its support, in full-layout indices, so no solver
-allocates an (n, m) array; values, residuals, ``plan_cost`` (on ensembles
-already evolved to time t) and ``write_plan_csv`` all read that support.
-``combined_metric_parts`` solves the order-p part first, hands its plan to
-the bottleneck search as the witness, and returns both plans, so a caller
-never solves the same pair twice.  Where the witness's longest edge meets
-the lower bound (as on a pair and its small perturbation), the bottleneck
-value is certified with no probe; the bottleneck never solves an LP.  On
-such a pair, whose weights agree, the order-p part is certified from one
-assignment too, so the whole metric runs no LP and no max-flow.
-``cost_matrix`` is the dense matrix over every draw, for callers that want
-it; no solver uses it.
+Zero-weight draws carry no mass in any coupling, so the solvers work on
+the live block only (a Gibbs ensemble keeps a few percent of its draws).
+One private builder checks the marginals, gathers the live draws and
+weights, decides whether the marginals are uniform and equal-size, and
+fills the live H^s and L2 distances from one squared difference per row
+block.  ``combined_metric_parts`` builds that block once per pair and
+hands it to both solvers; a solver called alone builds its own.  A plan
+is stored as its support, in full-layout indices, so no solver allocates
+an (n, m) array.  The order-p plan is the bottleneck search's witness,
+and both plans are returned, so a caller never solves a pair twice.
+Where the witness's longest edge meets the lower bound (as on a pair and
+its small perturbation, whose weights agree and whose order-p part one
+assignment certifies), the metric runs no LP and no max-flow.
+``cost_matrix`` is the dense ndarray over every draw, from the same
+distance kernel; no solver uses it.
 """
 
 from __future__ import annotations
@@ -62,15 +62,6 @@ class SinkhornConvergenceError(RuntimeError):
         )
         self.residual = residual
         self.iterations = iterations
-
-
-@dataclass(frozen=True)
-class CostMatrix:
-    """Pairwise costs c_ij = |x_i - y_j|_{H^s}^p."""
-
-    entries: np.ndarray
-    s: float
-    p: float
 
 
 @dataclass(frozen=True)
@@ -109,85 +100,84 @@ def _plan_from(r, c, mass, ia, ib, a: WeightedEnsemble, b: WeightedEnsemble):
     return TransportPlan(rows, cols, mass, (a.n, b.n), *res), r, c
 
 
-def _block_entries(block: np.ndarray):
-    """Every entry of a live-block matrix as (rows, cols, mass), in row-major order."""
-    r, c = np.divmod(np.arange(block.size), block.shape[1])
-    return r, c, block.ravel()
-
-
 def _common_modes(a: WeightedEnsemble, b: WeightedEnsemble):
     m = max(a.n_modes, b.n_modes)
     return a.padded(m).coeffs, b.padded(m).coeffs
 
 
-def _live_support(a: WeightedEnsemble, b: WeightedEnsemble):
-    """Positive-weight indices of both ensembles and their live common-mode coefficients."""
-    xa, xb = _common_modes(a, b)
-    ia = np.flatnonzero(a.weights > 0)
-    ib = np.flatnonzero(b.weights > 0)
-    return ia, ib, xa[ia], xb[ib]
+def _hs_weights(n_modes: int, s: float) -> np.ndarray:
+    """Weights w_k of the squared H^s norm sum_k w_k |x_k|^2."""
+    k = np.arange(1, n_modes + 1, dtype=np.float64)
+    return NORM_FACTOR * k ** (2 * s)
 
 
-def _hs_norms(diff: np.ndarray, s: float) -> np.ndarray:
-    """H^s norms of the amplitude vectors along the last axis."""
-    k = np.arange(1, diff.shape[-1] + 1, dtype=np.float64)
-    w = NORM_FACTOR * k ** (2 * s)
-    return np.sqrt(np.sum(w * (diff.real**2 + diff.imag**2), axis=-1))
+def _distance_matrices(xa: np.ndarray, xb: np.ndarray, exponents) -> list[np.ndarray]:
+    """Pairwise H^s distances for each s in ``exponents``, by direct differencing.
 
-
-def _distance_matrix(xa: np.ndarray, xb: np.ndarray, s: float) -> np.ndarray:
-    """Pairwise H^s distances by direct differencing (exact zeros on ties)."""
+    Each row block forms its squared differences once and weighs them for
+    every s, so ties give exact zeros and every s costs one weighted sum.
+    """
+    if min(exponents) < 0:
+        raise ValueError("regularity exponent must be >= 0")
     n, m = xa.shape[0], xb.shape[0]
-    out = np.empty((n, m))
+    weights = [_hs_weights(xa.shape[1], s) for s in exponents]
+    out = [np.empty((n, m)) for _ in exponents]
     block = max(1, (1 << 22) // max(1, m * xa.shape[1]))
     for start in range(0, n, block):
-        stop = min(start + block, n)
-        out[start:stop] = _hs_norms(xa[start:stop, None, :] - xb[None, :, :], s)
+        diff = xa[start : start + block, None, :] - xb[None, :, :]
+        sq = diff.real**2 + diff.imag**2
+        for dist, w in zip(out, weights):
+            dist[start : start + block] = np.sqrt(np.sum(w * sq, axis=-1))
     return out
 
 
-def _pair_distances(
-    xa: np.ndarray, xb: np.ndarray, rows: np.ndarray, cols: np.ndarray, s: float
-) -> np.ndarray:
-    """H^s distances |xa[rows[k]] - xb[cols[k]]| for the listed pairs only."""
+def _pair_distances(xa, xb, rows, cols, s: float) -> np.ndarray:
+    """H^s distances |xa[rows[k]] - xb[cols[k]]| for the listed pairs, priced as the kernel does."""
+    w = _hs_weights(xa.shape[1], s)
     out = np.empty(rows.size)
     block = max(1, (1 << 22) // max(1, xa.shape[1]))
     for start in range(0, rows.size, block):
-        stop = min(start + block, rows.size)
-        out[start:stop] = _hs_norms(xa[rows[start:stop]] - xb[cols[start:stop]], s)
+        diff = xa[rows[start : start + block]] - xb[cols[start : start + block]]
+        out[start : start + block] = np.sqrt(np.sum(w * (diff.real**2 + diff.imag**2), axis=-1))
     return out
 
 
-def _costs(xa: np.ndarray, xb: np.ndarray, s: float, p: float) -> np.ndarray:
-    if s < 0:
-        raise ValueError("regularity exponent must be >= 0")
-    if not p >= 1:
-        raise ValueError("the transport order must satisfy p >= 1")
-    return _distance_matrix(xa, xb, s) ** p
-
-
-def cost_matrix(a: WeightedEnsemble, b: WeightedEnsemble, s: float, p: float) -> CostMatrix:
-    """H^s distances to the power p between all support pairs.
+def cost_matrix(a: WeightedEnsemble, b: WeightedEnsemble, s: float, p: float) -> np.ndarray:
+    """H^s distances to the power p between all support pairs, as an (n, m) array.
 
     Ensembles with different truncations are zero-padded to the larger one.
     This is the dense matrix over every draw, dead ones included; the
-    solvers build costs on the live block instead.
+    solvers build distances on the live block instead.
     """
-    xa, xb = _common_modes(a, b)
-    return CostMatrix(entries=_costs(xa, xb, s, p), s=s, p=p)
+    if not p >= 1:
+        raise ValueError("the transport order must satisfy p >= 1")
+    return _distance_matrices(*_common_modes(a, b), (s,))[0] ** p
 
 
-def _check_marginals(a: WeightedEnsemble, b: WeightedEnsemble) -> None:
+@dataclass(frozen=True)
+class _LiveBlock:
+    """The positive-weight draws of a pair, their weights and their distances."""
+
+    ia: np.ndarray  # block index -> full-layout index
+    ib: np.ndarray
+    wa: np.ndarray
+    wb: np.ndarray
+    uniform: bool  # uniform equal-size marginals
+    hs: np.ndarray  # H^s distances at the builder's s
+    l2: np.ndarray  # L2 distances (``hs`` itself when s is 0)
+
+
+def _live_block(a: WeightedEnsemble, b: WeightedEnsemble, s: float) -> _LiveBlock:
+    """Check the marginals of (a, b), gather its live draws and build their distances once."""
     if abs(a.weights.sum() - 1.0) > MARGINAL_TOL or abs(b.weights.sum() - 1.0) > MARGINAL_TOL:
         raise ValueError("infeasible marginals: ensemble weights must both sum to one")
-
-
-def _uniform_equal(a: WeightedEnsemble, b: WeightedEnsemble) -> bool:
-    if a.n != b.n:
-        return False
-    return np.allclose(a.weights, 1.0 / a.n, atol=1e-12, rtol=0.0) and np.allclose(
-        b.weights, 1.0 / b.n, atol=1e-12, rtol=0.0
-    )
+    ia, ib = np.flatnonzero(a.weights > 0), np.flatnonzero(b.weights > 0)
+    xa, xb = _common_modes(a, b)
+    xa, xb = xa[ia], xb[ib]  # the dead rows are freed before the distance build
+    both = np.concatenate([a.weights, b.weights])
+    uniform = a.n == b.n and np.allclose(both, 1.0 / a.n, atol=1e-12, rtol=0.0)
+    dist = _distance_matrices(xa, xb, (s, 0.0) if s != 0 else (0.0,))
+    return _LiveBlock(ia, ib, a.weights[ia], b.weights[ib], uniform, dist[0], dist[-1])
 
 
 def _restricted_lp(wa, wb, cost, mask):
@@ -214,7 +204,7 @@ def _restricted_lp(wa, wb, cost, mask):
 
 
 def wasserstein_p_exact(
-    a: WeightedEnsemble, b: WeightedEnsemble, s: float, p: float
+    a: WeightedEnsemble, b: WeightedEnsemble, s: float, p: float, *, block: _LiveBlock | None = None
 ) -> tuple[float, TransportPlan]:
     """Exact order-p transport distance and an optimal plan.
 
@@ -226,20 +216,20 @@ def wasserstein_p_exact(
     feasible for the transport LP (u_i + v_j <= C_ij) and tight on its
     support, price it at sum_i wa_i u_i + sum_j wb_j v_j, so LP duality
     certifies it optimal.  Anything else is solved as a linear program.
-    Zero-weight support points are pruned before any distance is built; the
-    plan holds only the pairs that carry mass, and the value is priced over
-    them.
+    The costs are the H^s distances of the live block (zero-weight draws
+    pruned), built here or passed in by ``combined_metric_parts`` as
+    ``block``; the plan holds only the pairs that carry mass, and the value
+    is priced over them.
     """
     if not (p >= 1 and math.isfinite(p)):
         raise ValueError("the transport order must be a finite p >= 1")
-    _check_marginals(a, b)
-    ia, ib, xa, xb = _live_support(a, b)
-    wa, wb = a.weights[ia], b.weights[ib]
-    cost = _costs(xa, xb, s, p)
+    block = _live_block(a, b, s) if block is None else block
+    wa, wb = block.wa, block.wb
+    cost = block.hs**p
     support = None
-    if ia.size == ib.size:
+    if wa.size == wb.size:
         r, c = linear_sum_assignment(cost)
-        if _uniform_equal(a, b):
+        if block.uniform:
             support = r, c, np.full(r.size, 1.0 / a.n)
         elif np.array_equal(wa, wb[c]):
             support = r, c, wa
@@ -247,7 +237,7 @@ def wasserstein_p_exact(
         support = _restricted_lp(wa, wb, cost, np.ones(cost.shape, bool))
         if support is None:
             raise RuntimeError("transport LP failed")
-    plan, r, c = _plan_from(*support, ia, ib, a, b)
+    plan, r, c = _plan_from(*support, block.ia, block.ib, a, b)
     return float(np.sum(plan.mass * cost[r, c])) ** (1.0 / p), plan
 
 
@@ -284,6 +274,8 @@ def wasserstein_p_entropic(
     epsilon: float | None = None,
     max_iter: int = 20000,
     tol: float = 1e-5,
+    *,
+    block: _LiveBlock | None = None,
 ) -> EntropicResult:
     """Sinkhorn estimate of the order-p distance, always >= the exact value.
 
@@ -295,13 +287,15 @@ def wasserstein_p_entropic(
     are exact regardless of tol) and decreases toward the exact optimum as
     epsilon shrinks.  The default epsilon is 1% of the median live-pair
     cost (at least 1e-12); ``EntropicResult.epsilon`` reports the one used.
+    The costs come from the live block, as in :func:`wasserstein_p_exact`.
     """
     if epsilon is not None and not epsilon > 0:
         raise ValueError("regularisation must be positive")
-    _check_marginals(a, b)
-    ia, ib, xa, xb = _live_support(a, b)
-    wa, wb = a.weights[ia], b.weights[ib]
-    cost = _costs(xa, xb, s, p)
+    if not p >= 1:
+        raise ValueError("the transport order must satisfy p >= 1")
+    block = _live_block(a, b, s) if block is None else block
+    wa, wb = block.wa, block.wb
+    cost = block.hs**p
     if epsilon is None:
         epsilon = max(0.01 * float(np.median(cost)), 1e-12)
     la, lb = np.log(wa), np.log(wb)
@@ -332,8 +326,9 @@ def wasserstein_p_entropic(
             break
     else:
         raise SinkhornConvergenceError(residual, iterations)
-    block = _round_to_feasible(np.exp(log_plan), wa, wb)
-    plan, r, c = _plan_from(*_block_entries(block), ia, ib, a, b)
+    rounded = _round_to_feasible(np.exp(log_plan), wa, wb)
+    r, c = np.divmod(np.arange(rounded.size), rounded.shape[1])  # every entry, row-major
+    plan, r, c = _plan_from(r, c, rounded.ravel(), block.ia, block.ib, a, b)
     value = float(np.sum(plan.mass * cost[r, c])) ** (1.0 / p)
     return EntropicResult(value, plan, iterations, residual, epsilon)
 
@@ -433,7 +428,11 @@ def _witness_edge(witness: TransportPlan | None, ia, ib, sub: np.ndarray):
 
 
 def wasserstein_inf(
-    a: WeightedEnsemble, b: WeightedEnsemble, witness: TransportPlan | None = None
+    a: WeightedEnsemble,
+    b: WeightedEnsemble,
+    witness: TransportPlan | None = None,
+    *,
+    block: _LiveBlock | None = None,
 ) -> tuple[float, TransportPlan]:
     """Bottleneck transport value in L2: the least threshold carrying a feasible plan.
 
@@ -455,17 +454,15 @@ def wasserstein_inf(
     edge, the witness is returned as the plan, and when the lower bound
     already equals it, no threshold is probed at all.  The witness is used
     only if its residuals pass ``check`` and its support rows and columns
-    are exactly the live draws.  Zero-weight support points are pruned
-    before any distance is built.
+    are exactly the live draws.  The distances are the L2 ones of the live
+    block (zero-weight draws pruned), built here or passed in as ``block``.
     """
-    _check_marginals(a, b)
-    ia, ib, xa, xb = _live_support(a, b)
-    sub = _distance_matrix(xa, xb, 0.0)
-    if _uniform_equal(a, b):
+    block = _live_block(a, b, 0.0) if block is None else block
+    ia, ib, sub = block.ia, block.ib, block.l2
+    if block.uniform:
         probe = _max_matching
     else:
-        ua = _round_to_total(a.weights[ia], _FLOW_SCALE)
-        ub = _round_to_total(b.weights[ib], _FLOW_SCALE)
+        ua, ub = (_round_to_total(w, _FLOW_SCALE) for w in (block.wa, block.wb))
         probe = lambda mask: _max_flow(mask, ua, ub)
     top = _witness_edge(witness, ia, ib, sub)
     lam = max(sub.min(axis=1).max(), sub.min(axis=0).max())
@@ -516,7 +513,8 @@ def combined_metric_parts(
 ) -> CombinedDistance:
     """Combined metric split into its parts, each with the plan it was solved for.
 
-    The order-p part is solved first, and its plan is the witness that
+    The pair's live block is built once and read by both solvers.  The
+    order-p part is solved first, and its plan is the witness that
     caps the bottleneck search from above (see :func:`wasserstein_inf`):
     where the search reaches the witness's longest edge, ``inf_plan`` is
     ``plan``, and where that edge is the lower bound, the bottleneck costs
@@ -524,15 +522,16 @@ def combined_metric_parts(
     plan whose price is the reported ``w_p``, and ``epsilon`` the
     regularisation used (by default set from the live costs).
     """
+    block = _live_block(a, b, s)
     iterations = None
     if backend == "exact":
-        w_p, plan = wasserstein_p_exact(a, b, s, p)
+        w_p, plan = wasserstein_p_exact(a, b, s, p, block=block)
     elif backend == "entropic":
-        res = wasserstein_p_entropic(a, b, s, p, epsilon)
+        res = wasserstein_p_entropic(a, b, s, p, epsilon, block=block)
         w_p, plan, epsilon, iterations = res.value, res.plan, res.epsilon, res.iterations
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    w_inf, inf_plan = wasserstein_inf(a, b, plan)
+    w_inf, inf_plan = wasserstein_inf(a, b, plan, block=block)
     return CombinedDistance(w_inf, w_p, backend, plan, inf_plan, epsilon, iterations)
 
 

@@ -170,7 +170,7 @@ def test_c07_transport_oracle():
         a = _uniform(5, 3, seed)
         b = _uniform(5, 3, 10_000 + seed)
         value, _ = wasserstein_p_exact(a, b, 0.25, 2.0)
-        cost = cost_matrix(a, b, 0.25, 2.0).entries
+        cost = cost_matrix(a, b, 0.25, 2.0)
         brute = min(
             sum(cost[i, perm[i]] for i in range(5))
             for perm in itertools.permutations(range(5))
@@ -194,7 +194,7 @@ def test_c07_transport_oracle():
         a = _uniform(5, 3, 50_000 + seed)
         b = _uniform(5, 3, 60_000 + seed)
         exact, _ = wasserstein_p_exact(a, b, 0.25, 2.0)
-        med = float(np.median(cost_matrix(a, b, 0.25, 2.0).entries))
+        med = float(np.median(cost_matrix(a, b, 0.25, 2.0)))
         est = wasserstein_p_entropic(a, b, 0.25, 2.0, epsilon=0.01 * med).value
         worst_rel = max(worst_rel, (est - exact) / exact)
     sinkhorn_ok = worst_rel < 0.01

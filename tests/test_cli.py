@@ -117,16 +117,6 @@ def test_solve_rejects_nonpositive_samples(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
-def test_env_thread_fallback(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(
-        "experiment = tails\nmeasure = gaussian\nmodes = 6\nensemble_size = 512\nseed = 2\n"
-    )
-    monkeypatch.setenv("KDV_TRANSPORT_THREADS", "2")
-    rc = cli_entry(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert rc == EXIT_OK
-
-
 def test_bad_argument_values_are_usage_errors(tmp_path, capsys):
     solve = ["solve", "--t", "0.1", "--out", str(tmp_path / "s")]
     sample = ["sample", "--out", str(tmp_path / "e.kdve")]
@@ -149,6 +139,45 @@ def test_bad_argument_values_are_usage_errors(tmp_path, capsys):
     too_big_step = solve + ["--init", "c1", "--modes", "64", "--dt", "0.5"]
     assert cli_entry(too_big_step) == EXIT_NUMERIC
     assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--s", "-0.1"), ("--s", "nan"), ("--s", "inf"),
+    ("--p", "0.5"), ("--p", "inf"), ("--p", "nan"),
+    ("--epsilon", "-1"), ("--epsilon", "0"), ("--epsilon", "nan"), ("--epsilon", "inf"),
+])
+def test_bad_distance_values_are_usage_errors(tmp_path, capsys, flag, value):
+    ens = tmp_path / "g.kdve"
+    assert cli_entry(["sample", "--measure", "gibbs", "--modes", "4", "--n", "16",
+                      "--out", str(ens)]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "dist"
+    argv = ["distance", "--a", str(ens), "--b", str(ens), "--backend", "entropic",
+            flag, value, "--out", str(out)]
+    assert cli_entry(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == "usage" and flag in payload["message"], payload
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, word", [("p = inf", "transport order"),
+                                        ("backend = entropic\nepsilon = -1", "epsilon")])
+def test_metric_values_transport_rejects_are_config_errors(tmp_path, capsys, count_calls, line, word):
+    from kdvlab.measures import sample_gibbs
+
+    draws = count_calls(sample_gibbs)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = continuity\nmodes = 4\nensemble_size = 160\nsolver_modes = 16\n"
+                   f"time_grid = 0.1\n{line}\n")
+    out = tmp_path / "run"
+    assert cli_entry(["experiment", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == "config" and word in payload["message"], payload
+    assert draws == [] and not out.exists()
 
 
 @pytest.mark.parametrize("experiment", ["continuity", "stability"])
@@ -233,7 +262,7 @@ def test_distance_solves_exact_transport_once_and_prices_only_the_plan(tmp_path,
     saved = json.loads((out / "distance.json").read_text())
     assert saved["w_p"] == value
     assert saved["marginal_residuals"] == [plan.row_residual, plan.col_residual]
-    cost = cost_matrix(a, b, 0.25, 2.0).entries
+    cost = cost_matrix(a, b, 0.25, 2.0)
     with open(out / "plan.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     full = dense_plan(plan)

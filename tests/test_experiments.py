@@ -16,7 +16,6 @@ from kdvlab.experiments import (
     run_continuity,
     run_experiment,
     run_galerkin,
-    run_invariance,
     run_stability,
     run_tails,
     write_report,
@@ -98,13 +97,13 @@ def test_invariance_linear_moments_frozen():
         "experiment = invariance_linear\nmeasure = gaussian\nmodes = 12\n"
         "ensemble_size = 256\ntime_grid = 0.3, 0.9\nseed = 2\n"
     )
-    rep = run_invariance(cfg)
+    rep = run_experiment(cfg)
     assert rep.summary["worst_mode_moment_drift"] <= 1e-12
 
 
 def test_invariance_nonlinear_small(tmp_path):
     cfg = parse_config_text(SMALL_INVARIANCE)
-    rep = run_invariance(cfg)
+    rep = run_experiment(cfg)
     assert rep.summary["kappa"] > 0
     assert rep.summary["null_hi95"] >= rep.summary["null_lo95"] > 0
     assert math.isfinite(rep.summary["distance"])
@@ -401,7 +400,7 @@ def test_invariance_prices_the_cubic_on_live_rows_only(monkeypatch):
         return integral_u3_many(coeffs)
 
     monkeypatch.setattr(kdvlab.experiments, "integral_u3_many", spy)
-    rep = run_invariance(parse_config_text(SMALL_INVARIANCE))
+    rep = run_experiment(parse_config_text(SMALL_INVARIANCE))
     ens = rep.ensemble
     live = int(np.count_nonzero(ens.weights > 0))
     assert 0 < live < ens.n

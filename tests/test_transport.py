@@ -14,7 +14,8 @@ from kdvlab.spectral import cosine_mode, sobolev_norm
 from kdvlab.transport import (
     _MASS_EPS,
     SinkhornConvergenceError,
-    _distance_matrix,
+    _distance_matrices,
+    _live_block,
     _plan_from,
     _restricted_lp,
     combined_metric,
@@ -44,11 +45,16 @@ def singleton(field):
     return WeightedEnsemble(field.modes[None, :], [1.0])
 
 
+def distances(xa, xb, s):
+    """Pairwise H^s distances from the transport kernel."""
+    return _distance_matrices(xa, xb, (s,))[0]
+
+
 # --- brute-force oracles ------------------------------------------------------
 
 
 def brute_wp_uniform(a, b, s, p):
-    cost = cost_matrix(a, b, s, p).entries
+    cost = cost_matrix(a, b, s, p)
     n = a.n
     best = min(
         sum(cost[i, perm[i]] for i in range(n))
@@ -58,7 +64,7 @@ def brute_wp_uniform(a, b, s, p):
 
 
 def brute_winf_uniform(a, b):
-    dist = cost_matrix(a, b, 0.0, 1.0).entries
+    dist = cost_matrix(a, b, 0.0, 1.0)
     n = a.n
     return min(
         max(dist[i, perm[i]] for i in range(n))
@@ -101,13 +107,13 @@ def brute_winf_2x2(wa, wb, dist):
 def test_cost_matrix_diagonal_and_singletons():
     a = uniform_ensemble(4, 3, seed=0)
     cm = cost_matrix(a, a, 0.25, 2.0)
-    assert np.all(np.diag(cm.entries) == 0.0)
+    assert np.all(np.diag(cm) == 0.0)
 
     x = cosine_mode(1, 3)
     y = 0.5 * cosine_mode(2, 3)
     cm1 = cost_matrix(singleton(x), singleton(y), 0.25, 2.0)
-    assert cm1.entries.shape == (1, 1)
-    assert cm1.entries[0, 0] == pytest.approx(sobolev_norm(x - y, 0.25) ** 2, rel=1e-12)
+    assert cm1.shape == (1, 1)
+    assert cm1[0, 0] == pytest.approx(sobolev_norm(x - y, 0.25) ** 2, rel=1e-12)
 
 
 def test_cost_matrix_translation_consistency():
@@ -115,8 +121,8 @@ def test_cost_matrix_translation_consistency():
     b = uniform_ensemble(5, 4, seed=2)
     delta = 0.05
     shifted = a.replace(coeffs=a.coeffs + delta * cosine_mode(2, 4).modes[None, :])
-    base = cost_matrix(a, b, 0.3, 1.0).entries
-    moved = cost_matrix(shifted, b, 0.3, 1.0).entries
+    base = cost_matrix(a, b, 0.3, 1.0)
+    moved = cost_matrix(shifted, b, 0.3, 1.0)
     # row entries move by at most the norm of the shift (triangle inequality)
     shift_norm = sobolev_norm(delta * cosine_mode(2, 4), 0.3)
     assert np.max(np.abs(moved - base)) <= shift_norm + 1e-12
@@ -126,8 +132,8 @@ def test_cost_matrix_pads_mode_counts():
     a = uniform_ensemble(3, 2, seed=3)
     b = uniform_ensemble(4, 5, seed=4)
     cm = cost_matrix(a, b, 0.0, 2.0)
-    assert cm.entries.shape == (3, 4)
-    assert np.all(cm.entries >= 0)
+    assert cm.shape == (3, 4)
+    assert np.all(cm >= 0)
 
 
 def test_cost_matrix_argument_validation():
@@ -178,7 +184,7 @@ def test_exact_weighted_matches_2x2_oracle():
     for seed in range(20):
         a = weighted_ensemble(2, 3, seed=seed)
         b = weighted_ensemble(2, 3, seed=200 + seed)
-        cost = cost_matrix(a, b, 0.25, 2.0).entries
+        cost = cost_matrix(a, b, 0.25, 2.0)
         value, plan = wasserstein_p_exact(a, b, 0.25, 2.0)
         assert value == pytest.approx(
             brute_wp_2x2(a.weights, b.weights, cost, 2.0), abs=1e-9
@@ -230,7 +236,7 @@ def test_entropic_epsilon_trend_toward_exact():
         a = uniform_ensemble(5, 3, seed=seed)
         b = uniform_ensemble(5, 3, seed=500 + seed)
         exact, _ = wasserstein_p_exact(a, b, 0.25, 2.0)
-        med = float(np.median(cost_matrix(a, b, 0.25, 2.0).entries))
+        med = float(np.median(cost_matrix(a, b, 0.25, 2.0)))
         values = [
             wasserstein_p_entropic(a, b, 0.25, 2.0, epsilon=f * med).value
             for f in (1.0, 0.1, 0.01)
@@ -282,7 +288,7 @@ def test_bottleneck_uniform_matches_permutation_oracle():
         value, plan = wasserstein_inf(a, b)
         assert value == pytest.approx(brute_winf_uniform(a, b), abs=1e-12)
         assert plan.check()
-        dist = cost_matrix(a, b, 0.0, 1.0).entries
+        dist = cost_matrix(a, b, 0.0, 1.0)
         assert np.max(dist[plan.rows, plan.cols]) <= value + 1e-12
 
 
@@ -319,7 +325,7 @@ def test_bottleneck_weighted_matches_2x2_oracle():
     for seed in range(20):
         a = weighted_ensemble(2, 3, seed=seed)
         b = weighted_ensemble(2, 3, seed=300 + seed)
-        dist = cost_matrix(a, b, 0.0, 1.0).entries
+        dist = cost_matrix(a, b, 0.0, 1.0)
         value, plan = wasserstein_inf(a, b)
         assert value == pytest.approx(brute_winf_2x2(a.weights, b.weights, dist), abs=1e-9)
         assert plan.check()
@@ -434,7 +440,7 @@ def sparse_pair():
 def dense_distances(a, b, s):
     """H^s distances over every pair of the zero-padded ensembles."""
     m = max(a.n_modes, b.n_modes)
-    return _distance_matrix(a.padded(m).coeffs, b.padded(m).coeffs, s)
+    return distances(a.padded(m).coeffs, b.padded(m).coeffs, s)
 
 
 def live(a, b):
@@ -445,12 +451,12 @@ def solve_on_dense_slices(monkeypatch, a, b, solve):
     """Run a solver with its live-block distances sliced out of a dense build."""
     ia, ib = live(a, b)
 
-    def dense_slice(xa, xb, s):
+    def dense_slice(xa, xb, exponents):
         assert xa.shape[0] == ia.size and xb.shape[0] == ib.size  # only live draws reach here
-        return dense_distances(a, b, s)[np.ix_(ia, ib)]
+        return [dense_distances(a, b, s)[np.ix_(ia, ib)] for s in exponents]
 
     with monkeypatch.context() as patch:
-        patch.setattr(transport, "_distance_matrix", dense_slice)
+        patch.setattr(transport, "_distance_matrices", dense_slice)
         return solve()
 
 
@@ -482,7 +488,7 @@ def test_pruned_exact_equals_dense_reference():
     assert_dead_zero(plan, a, b)
     # the live block of the dense build is exactly the pruned build
     assert np.array_equal(
-        dist[np.ix_(ia, ib)], _distance_matrix(a.padded(b.n_modes).coeffs[ia], b.coeffs[ib], s)
+        dist[np.ix_(ia, ib)], distances(a.padded(b.n_modes).coeffs[ia], b.coeffs[ib], s)
     )
 
 
@@ -519,8 +525,8 @@ def test_pruned_pushforward_cost_equals_dense_reference():
                 xa, xb = evolve_many(xa, t, cfg), evolve_many(xb, t, cfg)
             full = dense_plan(plan)
             mask = full > 1e-15
-            dist_hs = _distance_matrix(xa, xb, s)
-            dist_l2 = _distance_matrix(xa, xb, 0.0)
+            dist_hs = distances(xa, xb, s)
+            dist_l2 = distances(xa, xb, 0.0)
             got = plan_cost(a.replace(coeffs=xa), b.replace(coeffs=xb), plan, t, s, p)
             assert got.w_p_bound == float(np.sum(full[mask] * dist_hs[mask] ** p)) ** (1 / p)
             assert got.w_inf_bound == float(np.max(dist_l2[mask]))
@@ -622,7 +628,7 @@ def light_draw_pair():
 
 
 def nearest_edge(a, b, i):
-    return float(np.min(cost_matrix(a, b, 0.0, 1.0).entries[i]))
+    return float(np.min(cost_matrix(a, b, 0.0, 1.0)[i]))
 
 
 def test_bottleneck_reaches_every_positive_weight():
@@ -631,7 +637,7 @@ def test_bottleneck_reaches_every_positive_weight():
     # live draw's nearest edge, keeps the light draw in the value
     a, b = light_draw_pair()
     far = nearest_edge(a, b, 5)
-    assert far > 10 * np.max(np.min(cost_matrix(a, b, 0.0, 1.0).entries[:5], axis=1))
+    assert far > 10 * np.max(np.min(cost_matrix(a, b, 0.0, 1.0)[:5], axis=1))
     assert wasserstein_inf(a, b)[0] == far
     assert combined_metric_parts(a, b, 0.25, 2.0).w_inf == far
     # the matching path: uniform equal-size marginals, one draw far from the rest
@@ -672,7 +678,7 @@ def test_witness_leaves_the_bottleneck_value_unchanged():
         assert value == wasserstein_inf(a, b)[0]
         assert plan.check()
         # the plan carries mass only on edges at or below the value
-        assert np.max(_distance_matrix(*transport._common_modes(a, b), 0.0)[plan.rows, plan.cols]) <= value
+        assert np.max(distances(*transport._common_modes(a, b), 0.0)[plan.rows, plan.cols]) <= value
 
 
 def test_closed_bracket_costs_no_probe_and_no_confirming_lp(count_calls):
@@ -687,15 +693,36 @@ def test_closed_bracket_costs_no_probe_and_no_confirming_lp(count_calls):
     assert parts.w_inf == wasserstein_inf(a, b)[0]
 
 
+def test_combined_metric_builds_one_live_block(count_calls):
+    from scipy.optimize import linprog
+
+    # one pass over the live draws and one distance build serve both parts
+    blocks, kernels = count_calls(_live_block), count_calls(_distance_matrices)
+    for a, b in [sparse_pair(), gibbs_pair(0, shifted=False), gibbs_pair(1, shifted=True)]:
+        for backend in ("exact", "entropic"):
+            blocks.clear()
+            kernels.clear()
+            parts = combined_metric_parts(a, b, 0.25, 2.0, backend)
+            assert len(blocks) == 1 and len(kernels) == 1
+            want = (wasserstein_p_exact(a, b, 0.25, 2.0)[0] if backend == "exact"
+                    else wasserstein_p_entropic(a, b, 0.25, 2.0).value)
+            assert parts.w_p == want and parts.w_inf == wasserstein_inf(a, b)[0]
+    # a square pair with equal weights still solves no LP
+    a, b = gibbs_pair(2, shifted=True)
+    lps = count_calls(linprog)
+    combined_metric_parts(a, b, 0.25, 2.0)
+    assert lps == []
+
+
 # --- the assignment certificate of exact W_p -----------------------------------
 
 
 def lp_oracle(a, b, s, p):
     """Exact W_p and its plan from the full transportation LP on the live block."""
-    ia, ib, xa, xb = transport._live_support(a, b)
-    cost = transport._costs(xa, xb, s, p)
-    support = _restricted_lp(a.weights[ia], b.weights[ib], cost, np.ones(cost.shape, bool))
-    plan, r, c = _plan_from(*support, ia, ib, a, b)
+    block = _live_block(a, b, s)
+    cost = block.hs**p
+    support = _restricted_lp(block.wa, block.wb, cost, np.ones(cost.shape, bool))
+    plan, r, c = _plan_from(*support, block.ia, block.ib, a, b)
     return float(np.sum(plan.mass * cost[r, c])) ** (1.0 / p), plan
 
 
@@ -727,7 +754,7 @@ def test_unequal_or_non_square_weights_solve_one_lp(count_calls):
     # the optimal assignment carries some weight onto an unequal one
     a = weighted_ensemble(6, 3, seed=21)
     b = weighted_ensemble(6, 3, seed=22).replace(weights=a.weights[::-1].copy())
-    _, c = linear_sum_assignment(cost_matrix(a, b, 0.25, 2.0).entries)
+    _, c = linear_sum_assignment(cost_matrix(a, b, 0.25, 2.0))
     assert not np.array_equal(a.weights, b.weights[c])
     lps = count_calls(linprog)
     for a, b in [(a, b), (weighted_ensemble(6, 3, seed=23), weighted_ensemble(4, 3, seed=24))]:
@@ -825,15 +852,14 @@ def bisection_winf(a, b, witness=None):
     from scipy import sparse
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    ia, ib, xa, xb = transport._live_support(a, b)
-    sub = _distance_matrix(xa, xb, 0.0)
-    wa, wb = a.weights[ia], b.weights[ib]
+    block = _live_block(a, b, 0.0)
+    ia, ib, wa, wb, sub = block.ia, block.ib, block.wa, block.wb, block.l2
     levels = np.unique(sub)
     lower = max(sub.min(axis=1).max(), sub.min(axis=0).max())
     top = transport._witness_edge(witness, ia, ib, sub)
     lo = int(np.searchsorted(levels, lower))
     hi = levels.size - 1 if top is None else int(np.searchsorted(levels, top))
-    uniform = transport._uniform_equal(a, b)
+    uniform = block.uniform
     ua = transport._round_to_total(wa, transport._FLOW_SCALE)
     ub = transport._round_to_total(wb, transport._FLOW_SCALE)
     probes = 0
@@ -924,7 +950,7 @@ def test_cut_search_equals_the_bisection_it_replaced(count_calls):
         climbed += made > 1
         assert max(plan.row_residual, plan.col_residual) < 2.0**-30
         ia, ib = live(a, b)
-        edges = _distance_matrix(*transport._common_modes(a, b), 0.0)[plan.rows, plan.cols]
+        edges = distances(*transport._common_modes(a, b), 0.0)[plan.rows, plan.cols]
         every_draw_holds_a_unit = all(
             np.all(transport._round_to_total(w, transport._FLOW_SCALE) > 0)
             for w in (a.weights[ia], b.weights[ib])
@@ -963,13 +989,13 @@ def reference_jump(sub, lam, ua, ub):
 
 def test_each_jump_lands_on_the_least_edge_leaving_the_min_cut(monkeypatch):
     for a, b, _ in itertools.islice(bottleneck_cases(), 0, None, 2):
-        ia, ib, xa, xb = transport._live_support(a, b)
-        sub = _distance_matrix(xa, xb, 0.0)
-        if transport._uniform_equal(a, b):
+        block = _live_block(a, b, 0.0)
+        sub = block.l2
+        if block.uniform:
             ua = ub = np.ones(a.n, np.int64)
         else:
-            ua = transport._round_to_total(a.weights[ia], transport._FLOW_SCALE)
-            ub = transport._round_to_total(b.weights[ib], transport._FLOW_SCALE)
+            ua = transport._round_to_total(block.wa, transport._FLOW_SCALE)
+            ub = transport._round_to_total(block.wb, transport._FLOW_SCALE)
         seen = []
         for name in ("_max_flow", "_max_matching"):
             def spy(mask, *units, probe=getattr(transport, name)):
