@@ -98,9 +98,10 @@ def _usage_type(parse):
 _positive_int = _checked(int, lambda v: v > 0, "positive int")
 _positive_float = _checked(float, lambda v: v > 0, "positive float")
 _non_negative_int = _checked(int, lambda v: v >= 0, "non-negative int")
+_finite_float = _checked(float, math.isfinite, "finite float")
+_finite_positive = _checked(float, lambda v: 0 < v < math.inf, "finite positive float")
 _regularity = _checked(float, lambda v: 0 <= v < math.inf, "finite float >= 0")
 _order = _checked(float, lambda v: 1 <= v < math.inf, "finite float >= 1")
-_regularisation = _checked(float, lambda v: 0 < v < math.inf, "finite positive float")
 _solver_modes = _usage_type(lambda text: SolverConfig(n_modes=int(text)).n_modes)
 
 
@@ -259,8 +260,8 @@ def build_parser() -> _Parser:
 
     p_solve = sub.add_parser("solve", help="integrate one initial state, write trajectory")
     p_solve.add_argument("--modes", type=_solver_modes, default=64)
-    p_solve.add_argument("--dt", type=_positive_float, default=None)
-    p_solve.add_argument("--t", type=float, required=True)
+    p_solve.add_argument("--dt", type=_finite_positive, default=None)
+    p_solve.add_argument("--t", type=_finite_float, required=True)
     p_solve.add_argument("--init", type=_init_field, required=True)
     p_solve.add_argument("--samples", type=_positive_int, default=20)
     p_solve.add_argument("--no-dealias", action="store_true")
@@ -283,7 +284,7 @@ def build_parser() -> _Parser:
     p_dist.add_argument("--s", type=_regularity, default=0.25)
     p_dist.add_argument("--p", type=_order, default=2.0)
     p_dist.add_argument("--backend", choices=["exact", "entropic"], default="exact")
-    p_dist.add_argument("--epsilon", type=_regularisation, default=None)
+    p_dist.add_argument("--epsilon", type=_finite_positive, default=None)
     p_dist.add_argument("--out", type=str, default=None)
 
     p_exp = sub.add_parser("experiment", help="run a configured experiment")

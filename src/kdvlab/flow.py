@@ -8,7 +8,9 @@ numerically, evaluated pseudospectrally on a zero-padded grid of at least
 3M+1 points (the least 2^a, 3 * 2^a or 5 * 2^a, see ``_grid_size``) so the
 product is alias-free.  Every evolution (single field, projected, batch)
 goes through one stepper that steps the whole batch in buffers allocated
-once per call.
+once per call.  Its transforms call numpy's pocketfft gufuncs directly, as
+``np.fft.irfft`` and ``np.fft.rfft`` call them, so a step pays no wrapper
+checks; the results are the same bits.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft._pocketfft_umath import irfft as _irfft  # private gufuncs, see _ifrk4
+from numpy.fft._pocketfft_umath import rfft_n_even as _rfft_n_even
+from numpy.fft._pocketfft_umath import rfft_n_odd as _rfft_n_odd
 
 from .spectral import (
     MODE_TO_EXP,
@@ -110,7 +115,11 @@ def _ifrk4(chat: np.ndarray, n_steps: int, h: float, m: int, band: int, grid_n: 
     <= band.  Every buffer is allocated once per call and every stage is
     written into one of them, so a step allocates nothing batch-sized.  Each
     stage evaluates the formula in its comment in that expression order,
-    which fixes its result bit for bit.
+    which fixes its result bit for bit; a stage input is read only on modes
+    1..band, so its last expression is written there straight into the
+    padded spectrum.  The transforms are pocketfft's gufuncs, called as
+    ``np.fft.irfft`` / ``np.fft.rfft`` call them for ``norm="forward"``
+    (factors 1 and 1/grid_n), without the wrapper's per-call checks.
     """
     rows = chat.shape[0]
     k = np.arange(m + 1, dtype=np.float64)
@@ -120,39 +129,49 @@ def _ifrk4(chat: np.ndarray, n_steps: int, h: float, m: int, band: int, grid_n: 
     two_e_half = 2.0 * e_half
     neg_half_ik = -0.5 * (1j * k)
     half_h, sixth_h = 0.5 * h, h / 6.0
+    rfft = _rfft_n_even if grid_n % 2 == 0 else _rfft_n_odd
+    inv_n = 1 / grid_n
     spectrum = np.zeros((rows, grid_n // 2 + 1), dtype=np.complex128)
     grid = np.empty((rows, grid_n), dtype=np.float64)
     product = np.empty_like(spectrum)
-    n1, n2, n3, n4, a, b = (np.empty_like(chat) for _ in range(6))
+    # the rhs writes modes 0..band only; modes above the band stay zero
+    n1, n2, n3, n4 = (np.zeros_like(chat) for _ in range(4))
+    a = np.empty((rows, band), dtype=np.complex128)  # stage scratch on modes 1..band
+    b = np.empty_like(chat)
+    lo, top = slice(1, band + 1), slice(0, band + 1)
+    spec_lo, chat_lo, b_lo = spectrum[:, lo], chat[:, lo], b[:, lo]
+    n1_lo, n2_lo, n3_lo, e_half_lo = n1[:, lo], n2[:, lo], n3[:, lo], e_half[lo]
+    ik_top, product_top = neg_half_ik[top], product[:, top]
+    state = chat.view(np.float64)
 
-    def rhs(x: np.ndarray, out: np.ndarray) -> None:
-        spectrum[:, 1 : band + 1] = x[:, 1 : band + 1]
-        np.fft.irfft(spectrum, grid_n, axis=-1, norm="forward", out=grid)
+    def rhs(out: np.ndarray) -> None:
+        """out[:, :band+1] = -(1/2) i k FFT((IFFT spectrum)^2), the rhs of the stage in ``spectrum``."""
+        _irfft(spectrum, 1.0, out=grid)
         np.multiply(grid, grid, out=grid)
-        np.fft.rfft(grid, axis=-1, norm="forward", out=product)
-        np.multiply(neg_half_ik, product[:, : m + 1], out=out)
-        out[:, band + 1 :] = 0.0
+        rfft(grid, inv_n, out=product)
+        np.multiply(ik_top, product_top, out=out[:, top])
 
     # overflow of an unstable step is caught by the finite check below
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n_steps):
-            rhs(chat, n1)
+            spec_lo[...] = chat_lo
+            rhs(n1)
             # n2 = rhs(e_half * (chat + (h/2) n1))
-            np.multiply(half_h, n1, out=a)
-            np.add(chat, a, out=a)
-            np.multiply(e_half, a, out=a)
-            rhs(a, n2)
+            np.multiply(half_h, n1_lo, out=a)
+            np.add(chat_lo, a, out=a)
+            np.multiply(e_half_lo, a, out=spec_lo)
+            rhs(n2)
             # n3 = rhs(e_half * chat + (h/2) n2)
-            np.multiply(e_half, chat, out=a)
-            np.multiply(half_h, n2, out=b)
-            np.add(a, b, out=a)
-            rhs(a, n3)
+            np.multiply(e_half_lo, chat_lo, out=a)
+            np.multiply(half_h, n2_lo, out=b_lo)
+            np.add(a, b_lo, out=spec_lo)
+            rhs(n3)
             # n4 = rhs(e_full * chat + h (e_half n3)); b keeps e_full * chat
             np.multiply(e_full, chat, out=b)
-            np.multiply(e_half, n3, out=a)
+            np.multiply(e_half_lo, n3_lo, out=a)
             np.multiply(h, a, out=a)
-            np.add(b, a, out=a)
-            rhs(a, n4)
+            np.add(b_lo, a, out=spec_lo)
+            rhs(n4)
             # chat = e_full * chat + (h/6) (e_full n1 + 2 e_half (n2 + n3) + n4)
             np.add(n2, n3, out=n2)
             np.multiply(two_e_half, n2, out=n2)
@@ -161,7 +180,8 @@ def _ifrk4(chat: np.ndarray, n_steps: int, h: float, m: int, band: int, grid_n: 
             np.add(n1, n4, out=n1)
             np.multiply(sixth_h, n1, out=n1)
             np.add(b, n1, out=chat)
-            if not np.all(np.isfinite(chat.view(np.float64))):
+            # any non-finite entry makes the sum non-finite; finite entries can overflow it too
+            if not math.isfinite(np.add.reduce(state, axis=None)) and not np.all(np.isfinite(state)):
                 raise FlowDivergenceError(step)
     return chat
 

@@ -141,6 +141,19 @@ def test_bad_argument_values_are_usage_errors(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "numeric"
 
 
+@pytest.mark.parametrize("flag, value", [("--t", "nan"), ("--t", "inf"), ("--dt", "inf")])
+def test_non_finite_time_or_step_is_a_usage_error(tmp_path, capsys, flag, value):
+    argv = ["solve", "--init", "c1", "--modes", "8", "--out", str(tmp_path / "s")]
+    argv += [flag, value] if flag == "--t" else ["--t", "0.1", flag, value]
+    assert cli_entry(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "usage" and flag in payload["message"], payload
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--s", "-0.1"), ("--s", "nan"), ("--s", "inf"),
     ("--p", "0.5"), ("--p", "inf"), ("--p", "nan"),

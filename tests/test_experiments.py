@@ -346,14 +346,14 @@ def test_continuity_solves_each_exact_transport_once(count_calls):
 def test_continuity_at_the_c09_config_solves_no_lp(count_calls):
     # μ and its perturbation keep equal weights under the flow, so every
     # exact W_p is certified from its optimal assignment
-    from scipy.optimize import linprog
+    from kdvlab.transport import _transport_lp
 
     cfg = parse_config_text(
         "experiment = continuity\nmeasure = gibbs\nmodes = 16\nensemble_size = 256\n"
         "solver_modes = 48\ntime_grid = 0.25, 0.5, 1.0\nperturbation = mode_shift\n"
         "perturbation_mode = 3\nperturbation_delta = 1e-3\ns = 0.25\np = 2\nseed = 0\n"
     )
-    lps = count_calls(linprog)
+    lps = count_calls(_transport_lp)
     rep = run_continuity(cfg)
     assert lps == []
     assert rep.summary["bound_dominates"] is True

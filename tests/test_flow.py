@@ -301,6 +301,96 @@ def test_stepper_diverges_at_the_oracle_step_on_the_whole_batch():
     assert got.value.step == want.value.step
 
 
+def _np_fft_ifrk4(chat, n_steps, h, m, band, grid_n):
+    # the preallocated stepper before it called pocketfft's gufuncs: np.fft
+    # transforms, a stage-input copy into the spectrum and a band clear per rhs
+    rows = chat.shape[0]
+    k = np.arange(m + 1, dtype=np.float64)
+    phase = 1j * k**3
+    e_full = np.exp(h * phase)
+    e_half = np.exp(0.5 * h * phase)
+    two_e_half = 2.0 * e_half
+    neg_half_ik = -0.5 * (1j * k)
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    spectrum = np.zeros((rows, grid_n // 2 + 1), dtype=np.complex128)
+    grid = np.empty((rows, grid_n), dtype=np.float64)
+    product = np.empty_like(spectrum)
+    n1, n2, n3, n4, a, b = (np.empty_like(chat) for _ in range(6))
+
+    def rhs(x, out):
+        spectrum[:, 1 : band + 1] = x[:, 1 : band + 1]
+        np.fft.irfft(spectrum, grid_n, axis=-1, norm="forward", out=grid)
+        np.multiply(grid, grid, out=grid)
+        np.fft.rfft(grid, axis=-1, norm="forward", out=product)
+        np.multiply(neg_half_ik, product[:, : m + 1], out=out)
+        out[:, band + 1 :] = 0.0
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            rhs(chat, n1)
+            np.multiply(half_h, n1, out=a)
+            np.add(chat, a, out=a)
+            np.multiply(e_half, a, out=a)
+            rhs(a, n2)
+            np.multiply(e_half, chat, out=a)
+            np.multiply(half_h, n2, out=b)
+            np.add(a, b, out=a)
+            rhs(a, n3)
+            np.multiply(e_full, chat, out=b)
+            np.multiply(e_half, n3, out=a)
+            np.multiply(h, a, out=a)
+            np.add(b, a, out=a)
+            rhs(a, n4)
+            np.add(n2, n3, out=n2)
+            np.multiply(two_e_half, n2, out=n2)
+            np.multiply(e_full, n1, out=n1)
+            np.add(n1, n2, out=n1)
+            np.add(n1, n4, out=n1)
+            np.multiply(sixth_h, n1, out=n1)
+            np.add(b, n1, out=chat)
+            if not np.all(np.isfinite(chat.view(np.float64))):
+                raise FlowDivergenceError(step)
+    return chat
+
+
+def test_gufunc_stepper_equals_the_np_fft_stepper_bit_for_bit():
+    from kdvlab.flow import _grid_size, _ifrk4, _to_state
+
+    rng = np.random.default_rng(5)
+    m = 48
+    coeffs = np.stack([random_field(rng, 16, scale=0.5).modes for _ in range(38)])
+    for grid_n in (_grid_size(m, True), _grid_size(m, False)):
+        for rows, band in ((1, m), (20, m), (38, m), (20, 20), (5, 0)):
+            start = _to_state(coeffs[:rows], m)
+            got = _ifrk4(start.copy(), 40, 1e-3, m, band, grid_n)
+            want = _np_fft_ifrk4(start.copy(), 40, 1e-3, m, band, grid_n)
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    # a step that overflows is reported at the same step
+    growing = np.linspace(0.5, 8.0, 150)[:, None] * cosine_mode(1, 16).modes[None, :]
+    start = _to_state(growing, 16)
+    with pytest.raises(FlowDivergenceError) as want:
+        _np_fft_ifrk4(start.copy(), 100, 0.4, 16, 16, 64)
+    with pytest.raises(FlowDivergenceError) as got:
+        _ifrk4(start.copy(), 100, 0.4, 16, 16, 64)
+    assert got.value.step == want.value.step
+
+
+@pytest.mark.parametrize("n", [64, 160, 15])
+def test_pocketfft_gufuncs_are_the_np_fft_transforms(n):
+    # the stepper calls these private gufuncs directly; if numpy moves them or
+    # changes what they compute, this fails before any evolution does
+    from numpy.fft import _pocketfft_umath as pfu
+
+    rng = np.random.default_rng(n)
+    spectrum = rng.standard_normal((3, n // 2 + 1)) + 1j * rng.standard_normal((3, n // 2 + 1))
+    grid = np.empty((3, n))
+    pfu.irfft(spectrum, 1.0, out=grid)
+    assert np.array_equal(grid, np.fft.irfft(spectrum, n, axis=-1, norm="forward"))
+    product = np.empty((3, n // 2 + 1), dtype=np.complex128)
+    (pfu.rfft_n_even if n % 2 == 0 else pfu.rfft_n_odd)(grid, 1 / n, out=product)
+    assert np.array_equal(product, np.fft.rfft(grid, axis=-1, norm="forward"))
+
+
 def test_evolve_rejects_unresolvable_modes():
     cfg = SolverConfig(n_modes=4)
     with pytest.raises(ValueError):

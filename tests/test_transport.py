@@ -17,7 +17,7 @@ from kdvlab.transport import (
     _distance_matrices,
     _live_block,
     _plan_from,
-    _restricted_lp,
+    _transport_lp,
     combined_metric,
     combined_metric_parts,
     cost_matrix,
@@ -267,6 +267,15 @@ def test_entropic_nonconvergence_error():
     assert err.value.residual > 0
 
 
+@pytest.mark.parametrize("p", [np.inf, np.nan, 0.5])
+def test_entropic_rejects_an_order_exact_rejects(p):
+    # p = inf used to run every Sinkhorn sweep on NaN potentials before failing
+    a, b = uniform_ensemble(6, 3, seed=12), uniform_ensemble(6, 3, seed=13)
+    for solve in (wasserstein_p_exact, wasserstein_p_entropic):
+        with pytest.raises(ValueError, match="finite p >= 1"):
+            solve(a, b, 0.25, p)
+
+
 # --- bottleneck -------------------------------------------------------------
 
 
@@ -466,6 +475,31 @@ def assert_dead_zero(plan, a, b):
     assert np.all(np.delete(dense_plan(plan), ib, axis=1) == 0.0)
 
 
+def linprog_lp(wa, wb, cost, mask):
+    """Transportation LP on the allowed edges of ``mask`` through ``linprog``, as (rows, cols, mass), or None.
+
+    Variables are the allowed edges in row-major order; one row constraint
+    per supply and one column constraint per demand, less one redundant
+    column.  An all-True mask is the full LP that ``_transport_lp`` solves
+    on a bare HiGHS model; this is its reference.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    n, m = cost.shape
+    rows_i, cols_j = np.nonzero(mask)
+    n_var = rows_i.size
+    data = np.ones(2 * n_var)
+    row_idx = np.concatenate([rows_i, n + cols_j])
+    col_idx = np.concatenate([np.arange(n_var), np.arange(n_var)])
+    a_eq = sparse.csr_matrix((data, (row_idx, col_idx)), shape=(n + m, n_var))[:-1]
+    b_eq = np.concatenate([wa, wb[:-1]])
+    res = linprog(cost[rows_i, cols_j], A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if not res.success:
+        return None
+    return rows_i, cols_j, np.maximum(res.x, 0.0)
+
+
 def test_pruned_exact_equals_dense_reference():
     a, b = sparse_pair()
     ia, ib = live(a, b)
@@ -474,7 +508,7 @@ def test_pruned_exact_equals_dense_reference():
     dense = dist**p
     full = np.zeros((a.n, b.n))
     block = dense[np.ix_(ia, ib)]
-    _, _, mass = _restricted_lp(a.weights[ia], b.weights[ib], block, np.ones(block.shape, bool))
+    _, _, mass = linprog_lp(a.weights[ia], b.weights[ib], block, np.ones(block.shape, bool))
     full[np.ix_(ia, ib)] = mass.reshape(block.shape)  # the full LP's variables are row-major
     rows, cols = np.nonzero(full >= _MASS_EPS)  # the reference plan's row-major support
     ref_value = float(np.sum(full[rows, cols] * dense[rows, cols])) ** (1.0 / p)
@@ -682,11 +716,10 @@ def test_witness_leaves_the_bottleneck_value_unchanged():
 
 
 def test_closed_bracket_costs_no_probe_and_no_confirming_lp(count_calls):
-    from scipy.optimize import linprog
     from scipy.sparse.csgraph import maximum_flow
 
     a, b = gibbs_pair(0, shifted=True)
-    probes, lps = count_calls(maximum_flow), count_calls(linprog)
+    probes, lps = count_calls(maximum_flow), count_calls(_transport_lp)
     parts = combined_metric_parts(a, b, 0.25, 2.0)
     assert len(probes) == 0 and len(lps) == 0  # W_p is certified from its assignment
     assert parts.inf_plan is parts.plan
@@ -694,8 +727,6 @@ def test_closed_bracket_costs_no_probe_and_no_confirming_lp(count_calls):
 
 
 def test_combined_metric_builds_one_live_block(count_calls):
-    from scipy.optimize import linprog
-
     # one pass over the live draws and one distance build serve both parts
     blocks, kernels = count_calls(_live_block), count_calls(_distance_matrices)
     for a, b in [sparse_pair(), gibbs_pair(0, shifted=False), gibbs_pair(1, shifted=True)]:
@@ -709,7 +740,7 @@ def test_combined_metric_builds_one_live_block(count_calls):
             assert parts.w_p == want and parts.w_inf == wasserstein_inf(a, b)[0]
     # a square pair with equal weights still solves no LP
     a, b = gibbs_pair(2, shifted=True)
-    lps = count_calls(linprog)
+    lps = count_calls(_transport_lp)
     combined_metric_parts(a, b, 0.25, 2.0)
     assert lps == []
 
@@ -718,12 +749,35 @@ def test_combined_metric_builds_one_live_block(count_calls):
 
 
 def lp_oracle(a, b, s, p):
-    """Exact W_p and its plan from the full transportation LP on the live block."""
+    """Exact W_p and its plan from the full transportation LP on the live block, through ``linprog``."""
     block = _live_block(a, b, s)
     cost = block.hs**p
-    support = _restricted_lp(block.wa, block.wb, cost, np.ones(cost.shape, bool))
+    support = linprog_lp(block.wa, block.wb, cost, np.ones(cost.shape, bool))
     plan, r, c = _plan_from(*support, block.ia, block.ib, a, b)
     return float(np.sum(plan.mass * cost[r, c])) ** (1.0 / p), plan
+
+
+def test_bare_highs_model_is_the_linprog_lp():
+    # _transport_lp drives scipy's private HiGHS binding; if scipy moves it or
+    # changes what it solves, this fails before any distance does
+    from scipy.optimize._highspy import _core
+
+    assert callable(_core._Highs) and callable(_core.HighsLp)
+    for n, m in ((7, 5), (6, 6), (1, 4), (4, 1)):
+        a, b = weighted_ensemble(n, 3, seed=30 + n), weighted_ensemble(m, 3, seed=40 + m)
+        cost = cost_matrix(a, b, 0.25, 2.0)
+        (r, c, mass), (r0, c0, mass0) = (
+            _transport_lp(a.weights, b.weights, cost),
+            linprog_lp(a.weights, b.weights, cost, np.ones(cost.shape, bool)),
+        )
+        assert np.array_equal(r, r0) and np.array_equal(c, c0)
+        # linprog's presolve may round a mass differently in the last bits
+        # (3e-17 on the 1 x 4 case); the support and the optimum agree
+        assert np.max(np.abs(mass - mass0)) <= 1e-16
+        assert abs(mass @ cost.ravel() - mass0 @ cost.ravel()) <= 1e-15 * (mass0 @ cost.ravel())
+    # a demand above the total supply leaves no feasible plan
+    with pytest.raises(RuntimeError, match="transport LP failed"):
+        _transport_lp(np.array([0.5, 0.5]), np.array([1.5, -0.5]), np.ones((2, 2)))
 
 
 def assert_same_plan(got, want):
@@ -733,9 +787,7 @@ def assert_same_plan(got, want):
 
 
 def test_equal_weights_are_certified_from_the_assignment_with_no_lp(count_calls):
-    from scipy.optimize import linprog
-
-    lps = count_calls(linprog)
+    lps = count_calls(_transport_lp)
     for k in range(3):
         a, b = gibbs_pair(k, shifted=True)
         assert not np.allclose(a.weights[a.weights > 0], a.weights.max())  # not uniform
@@ -748,7 +800,7 @@ def test_equal_weights_are_certified_from_the_assignment_with_no_lp(count_calls)
 
 
 def test_unequal_or_non_square_weights_solve_one_lp(count_calls):
-    from scipy.optimize import linear_sum_assignment, linprog
+    from scipy.optimize import linear_sum_assignment
 
     # b's weights are a's permuted, but its draws are independent of a's, so
     # the optimal assignment carries some weight onto an unequal one
@@ -756,7 +808,7 @@ def test_unequal_or_non_square_weights_solve_one_lp(count_calls):
     b = weighted_ensemble(6, 3, seed=22).replace(weights=a.weights[::-1].copy())
     _, c = linear_sum_assignment(cost_matrix(a, b, 0.25, 2.0))
     assert not np.array_equal(a.weights, b.weights[c])
-    lps = count_calls(linprog)
+    lps = count_calls(_transport_lp)
     for a, b in [(a, b), (weighted_ensemble(6, 3, seed=23), weighted_ensemble(4, 3, seed=24))]:
         value, plan = wasserstein_p_exact(a, b, 0.25, 2.0)
         assert len(lps) == 1
@@ -794,8 +846,6 @@ def test_permuted_weights_give_the_lp_value(n, seed, ties, noise, data):
 def test_distance_of_a_weighted_file_with_itself_is_zero_with_no_lp(tmp_path, capsys, count_calls):
     import json
 
-    from scipy.optimize import linprog
-
     from kdvlab.cli import EXIT_OK, cli_entry
     from kdvlab.kdve_io import read_ensemble
 
@@ -805,7 +855,7 @@ def test_distance_of_a_weighted_file_with_itself_is_zero_with_no_lp(tmp_path, ca
     w = read_ensemble(path).weights
     assert np.unique(w[w > 0]).size > 1  # weights are not uniform
     capsys.readouterr()
-    lps = count_calls(linprog)
+    lps = count_calls(_transport_lp)
     assert cli_entry(["distance", "--a", str(path), "--b", str(path)]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["distance"] == 0.0
     assert lps == []
@@ -891,10 +941,10 @@ def bisection_winf(a, b, witness=None):
         match = matching(levels[idx])
         support = np.arange(match.size), match, np.full(match.size, 1.0 / a.n)
     else:
-        support = _restricted_lp(wa, wb, sub, sub <= levels[idx])
+        support = linprog_lp(wa, wb, sub, sub <= levels[idx])
         while support is None and idx + 1 < levels.size:
             idx += 1
-            support = _restricted_lp(wa, wb, sub, sub <= levels[idx])
+            support = linprog_lp(wa, wb, sub, sub <= levels[idx])
     return float(levels[idx]), _plan_from(*support, ia, ib, a, b)[0], probes
 
 
@@ -930,11 +980,10 @@ def bottleneck_cases():
 
 
 def test_cut_search_equals_the_bisection_it_replaced(count_calls):
-    from scipy.optimize import linprog
     from scipy.sparse.csgraph import maximum_bipartite_matching, maximum_flow
 
     probes = count_calls(maximum_flow), count_calls(maximum_bipartite_matching)
-    lps = count_calls(linprog)
+    lps = count_calls(_transport_lp)
     climbed = 0
     for a, b, witness in bottleneck_cases():
         want, _, want_probes = bisection_winf(a, b, witness)
