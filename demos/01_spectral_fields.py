@@ -13,7 +13,6 @@ from kdvlab import (
     evaluate,
     hamiltonian,
     integral_u3,
-    integral_u3_quadrature,
     linf_norm,
     project,
     sine_mode,
@@ -30,7 +29,6 @@ print("\n== a combined field u = c_1 + c_2 ==")
 u = c1 + c2
 print(f"max |u|                  = {linf_norm(u):.12f}  (= 2/sqrt(pi), at x = 0)")
 print(f"integral of u^3 (modes)  = {integral_u3(u):.12f}")
-print(f"integral of u^3 (grid)   = {integral_u3_quadrature(u):.12f}")
 print(f"closed form 3/(2 sqrt(pi)) = {3 / (2 * np.sqrt(np.pi)):.12f}")
 print(f"energy H(u)              = {hamiltonian(u):.12f}")
 print(f"closed form 2.5 - 1/(4 sqrt(pi)) = {2.5 - 1 / (4 * np.sqrt(np.pi)):.12f}")

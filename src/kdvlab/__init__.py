@@ -20,7 +20,6 @@ from .bourgain import (
 from .flow import (
     DriftSummary,
     FlowDivergenceError,
-    LipschitzProbe,
     SolverConfig,
     Trajectory,
     conserved_report,
@@ -28,7 +27,6 @@ from .flow import (
     evolve_many,
     evolve_projected,
     linear_flow,
-    lipschitz_probe,
     trajectory,
 )
 from .kdve_io import KdveFormatError, read_ensemble, write_ensemble
@@ -54,12 +52,9 @@ from .spectral import (
     TorusField,
     cosine_mode,
     evaluate,
-    from_basis,
     hamiltonian,
     integral_u3,
-    integral_u3_quadrature,
     linf_norm,
-    make_field,
     project,
     sine_mode,
     sobolev_norm,
@@ -71,7 +66,6 @@ from .transport import (
     PushforwardCost,
     SinkhornConvergenceError,
     TransportPlan,
-    combined_metric,
     combined_metric_parts,
     cost_matrix,
     plan_cost,

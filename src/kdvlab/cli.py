@@ -240,7 +240,7 @@ def _cmd_inspect(args) -> int:
         "file": args.file,
         "n": ens.n,
         "modes": ens.n_modes,
-        "resampled": ens.provenance.get("resampled", False),
+        "resampled": ens.resampled,
         "effective_sample_size": ens.effective_sample_size(),
         "mean_l2_sq": float(np.sum(ens.weights * ens.l2_norms() ** 2)),
         "mean_hs_sq_s0.25": float(np.sum(ens.weights * ens.hs_norms(0.25) ** 2)),
@@ -273,7 +273,7 @@ def build_parser() -> _Parser:
     p_sample.add_argument("--n", type=_positive_int, required=True)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--cutoff", type=_positive_float, default=1.0)
-    p_sample.add_argument("--coeff", type=float, default=1.0 / 6.0)
+    p_sample.add_argument("--coeff", type=_finite_float, default=1.0 / 6.0)
     p_sample.add_argument("--projection", type=_non_negative_int, default=None)
     p_sample.add_argument("--resample", action="store_true")
     p_sample.add_argument("--out", type=str, required=True)
@@ -292,7 +292,7 @@ def build_parser() -> _Parser:
     p_exp.add_argument("--config", type=str, required=True)
     p_exp.add_argument("--out", type=str, default=None)
     p_exp.add_argument("--seed", type=int, default=None)
-    p_exp.add_argument("--threads", type=int, default=None)
+    p_exp.add_argument("--threads", type=_positive_int, default=None)
     p_exp.add_argument("--format", choices=["csv", "json"], default=None)
 
     p_ins = sub.add_parser("inspect", help="summarise a .kdve ensemble file")

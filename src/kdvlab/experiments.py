@@ -24,9 +24,11 @@ from .fitting import bootstrap_weighted_mean, weighted_linear_fit
 from .flow import SolverConfig, evolve, evolve_projected
 from .kdve_io import write_ensemble
 from .measures import (
+    _FUNCTIONALS,
     GaussianSpec,
     GibbsSpec,
     WeightedEnsemble,
+    _functional_values,
     pushforward,
     pushforward_linear,
     pushforward_many,
@@ -35,28 +37,13 @@ from .measures import (
     tail_fit,
 )
 from .rng import derive_seed
-from .spectral import (
-    NORM_FACTOR,
-    cosine_mode,
-    integral_u3_many,
-    linf_norms_many,
-    sobolev_norm,
-)
+from .spectral import NORM_FACTOR, cosine_mode, integral_u3_many, sobolev_norm
 from .transport import combined_metric_parts, plan_cost
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
-
-EXPERIMENTS = (
-    "continuity",
-    "stability",
-    "invariance_linear",
-    "invariance_nonlinear",
-    "galerkin",
-    "tails",
-)
 
 PERTURBATIONS = ("mode_shift", "rescale", "resample")
 
@@ -121,6 +108,12 @@ class ExperimentConfig:
             raise ConfigError("time grid exceeds the configured horizon")
         if any(t2 <= t1 for t1, t2 in zip(self.time_grid, self.time_grid[1:])):
             raise ConfigError("time grid must be strictly increasing")
+        if self.experiment != "tails" and not self.time_grid:
+            raise ConfigError(f"{self.experiment} needs a nonempty time grid")
+        if self.experiment == "continuity" and len(self.time_grid) < 2:
+            raise ConfigError("continuity fits a line: its time grid needs >= 2 times")
+        if not math.isfinite(self.cubic_coefficient):
+            raise ConfigError("cubic_coefficient must be finite")
         if self.ensemble_size < 1 or self.modes < 1:
             raise ConfigError("ensemble size and modes must be positive")
         if self.threads < 1:
@@ -133,6 +126,13 @@ class ExperimentConfig:
             raise ConfigError(f"{self.experiment} needs measure = gaussian")
         if self.experiment == "invariance_nonlinear" and self.measure != "gibbs":
             raise ConfigError("invariance_nonlinear needs measure = gibbs")
+        if self.experiment == "invariance_nonlinear" and self.bootstrap_replicas < 2:
+            raise ConfigError("invariance_nonlinear needs bootstrap_replicas >= 2")
+        if self.experiment == "galerkin" and len(set(self.projection_grid)) < 2:
+            raise ConfigError("galerkin fits a line: projection_grid needs >= 2 distinct bands")
+        unknown = sorted(set(self.tail_functionals) - set(_FUNCTIONALS))
+        if self.experiment == "tails" and unknown:
+            raise ConfigError(f"unknown tail functionals {unknown}; expected any of {_FUNCTIONALS}")
 
     def solver(self) -> SolverConfig:
         return SolverConfig(
@@ -310,10 +310,10 @@ def _perturb(ens: WeightedEnsemble, cfg: ExperimentConfig) -> WeightedEnsemble:
         shift = cosine_mode(cfg.perturbation_mode, max(cfg.perturbation_mode, ens.n_modes))
         base = ens.padded(shift.n_modes)
         coeffs = base.coeffs + cfg.perturbation_delta * shift.modes[None, :]
-        return base.replace(coeffs=coeffs, provenance={**ens.provenance, "perturbed": "mode_shift"})
+        return base.replace(coeffs=coeffs)
     if cfg.perturbation == "rescale":
         coeffs = ens.coeffs * (1.0 + cfg.perturbation_delta)
-        return ens.replace(coeffs=coeffs, provenance={**ens.provenance, "perturbed": "rescale"})
+        return ens.replace(coeffs=coeffs)
     ens2, _ = _base_ensemble(cfg, seed=derive_seed(cfg.seed, 0xFE))
     return ens2
 
@@ -387,7 +387,7 @@ def run_continuity(cfg: ExperimentConfig) -> ExperimentReport:
         mu_t, nu_t = pushforward_many([mu_t, nu_t], t - t_prev, solver)
         t_prev = t
         dt_parts = combined_metric_parts(mu_t, nu_t, cfg.s, cfg.p, cfg.backend, cfg.epsilon)
-        bound = plan_cost(mu_t, nu_t, d0.plan, t, cfg.s, cfg.p, d0.inf_plan)
+        bound = plan_cost(mu_t, nu_t, d0.plan, cfg.s, cfg.p, d0.inf_plan)
         series.append(
             {
                 "t": t,
@@ -462,12 +462,11 @@ def _null_band(cfg: ExperimentConfig, n_replicas: int) -> np.ndarray:
         ens_b, _ = _base_ensemble(cfg, seed=derive_seed(cfg.seed, 0xA0, r, 1))
         return combined_metric_parts(ens_a, ens_b, cfg.s, cfg.p, cfg.backend, cfg.epsilon).total
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            values = list(pool.map(one, range(n_replicas)))
-    else:
-        values = [one(r) for r in range(n_replicas)]
-    return np.array(values)
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        return np.array(list(pool.map(one, range(n_replicas))))
+
+
+_S_REPORT = (0.0, 0.25, 0.45)  # H^s exponents of the moment drifts invariance_linear reports
 
 
 def _run_invariance_linear(cfg: ExperimentConfig) -> ExperimentReport:
@@ -484,7 +483,7 @@ def _run_invariance_linear(cfg: ExperimentConfig) -> ExperimentReport:
         )
         drift = float(np.max(np.abs(moments - base_moments)))
         hs_drift = {}
-        for s_val in cfg.gaussian_spec().s_report:
+        for s_val in _S_REPORT:
             w = k ** (2 * s_val)
             before = float(np.sum(w * base_moments))
             after = float(np.sum(w * moments))
@@ -601,12 +600,7 @@ def run_tails(cfg: ExperimentConfig) -> ExperimentReport:
     series = []
     summary = {}
     for functional in cfg.tail_functionals:
-        if functional == "linf":
-            values = linf_norms_many(ens.coeffs)
-        elif functional == "l2":
-            values = ens.l2_norms()
-        else:
-            values = ens.hs_norms(cfg.s)
+        values = _functional_values(ens, functional, cfg.s)
         # survival targets spaced between 0.45 and ~2e-3 pick the usable range
         targets = np.exp(np.linspace(math.log(0.45), math.log(2e-3), cfg.tail_grid_points))
         radii = np.quantile(values, 1.0 - targets)
@@ -633,6 +627,7 @@ _RUNNERS = {
     "galerkin": run_galerkin,
     "tails": run_tails,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

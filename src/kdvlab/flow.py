@@ -78,12 +78,12 @@ class SolverConfig:
 
 
 def linear_flow(u: TorusField, t: float) -> TorusField:
-    """Exact Airy group: mode k picks up the phase exp(i k^3 t)."""
-    k = np.arange(1, u.n_modes + 1, dtype=np.float64)
-    return TorusField(u.modes * np.exp(1j * k**3 * t))
+    """Exact Airy group on one field (see :func:`linear_flow_many`)."""
+    return TorusField(linear_flow_many(u.modes, t))
 
 
 def linear_flow_many(coeffs: np.ndarray, t: float) -> np.ndarray:
+    """Exact Airy group on a (batch, M) amplitude array: mode k picks up exp(i k^3 t)."""
     k = np.arange(1, coeffs.shape[-1] + 1, dtype=np.float64)
     return coeffs * np.exp(1j * k**3 * t)
 
@@ -310,36 +310,4 @@ def conserved_report(traj: Trajectory) -> DriftSummary:
         l2_rel_drift=_rel_drift(traj.l2_norms),
         hamiltonian_rel_drift=_rel_drift(traj.hamiltonians),
         mean_abs_drift=float(np.max(np.abs(traj.means - traj.means[0]))),
-    )
-
-
-@dataclass(frozen=True)
-class LipschitzProbe:
-    """Distances between two evolved states plus the bound ingredients."""
-
-    hs_distance: float
-    l2_distance: float
-    initial_hs_distance: float
-    initial_l2_distance: float
-    hs_norm_sum: float
-    l2_norm_sum_pow12: float
-    s: float
-    t: float
-
-
-def lipschitz_probe(
-    u0: TorusField, v0: TorusField, t: float, s: float, cfg: SolverConfig
-) -> LipschitzProbe:
-    """Evolve both states and report the separation data used for envelope fits."""
-    ut = evolve(u0, t, cfg)
-    vt = evolve(v0, t, cfg)
-    return LipschitzProbe(
-        hs_distance=sobolev_norm(ut - vt, s),
-        l2_distance=sobolev_norm(ut - vt, 0.0),
-        initial_hs_distance=sobolev_norm(u0 - v0, s),
-        initial_l2_distance=sobolev_norm(u0 - v0, 0.0),
-        hs_norm_sum=sobolev_norm(u0, s) + sobolev_norm(v0, s),
-        l2_norm_sum_pow12=(sobolev_norm(u0, 0.0) + sobolev_norm(v0, 0.0)) ** 12,
-        s=s,
-        t=t,
     )

@@ -7,12 +7,15 @@ Layout, little-endian throughout:
     M       u32      modes per sample
     n       u64      sample count
     flags   u8       bit 0: ensemble was multinomially resampled
+                     (``WeightedEnsemble.resampled``)
     then per sample: f64 weight, then M pairs (f64 re, f64 im) of u_hat(k),
     k = 1..M.
 
 The byte layout is normative; writers must not insert padding.  A file is
 valid only if n >= 1, M >= 1, every number is finite, the weights are
-nonnegative and they sum to one within 1e-12.
+nonnegative and they sum to one within 1e-12.  The resampled flag is the
+only state of an ensemble besides its draws and weights, so a write and a
+read give back the same ensemble.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class KdveFormatError(RuntimeError):
 
 
 def write_ensemble(path, ens: WeightedEnsemble) -> None:
-    flags = FLAG_RESAMPLED if ens.provenance.get("resampled") else 0
+    flags = FLAG_RESAMPLED if ens.resampled else 0
     record = np.empty((ens.n, 1 + 2 * ens.n_modes), dtype="<f8")
     record[:, 0] = ens.weights
     record[:, 1::2] = ens.coeffs.real
@@ -65,9 +68,8 @@ def read_ensemble(path) -> WeightedEnsemble:
     weights = record[:, 0].copy()
     with np.errstate(invalid="ignore"):  # non-finite numbers are rejected below
         coeffs = record[:, 1::2] + 1j * record[:, 2::2]
-    prov = {"kind": "file", "resampled": bool(flags & FLAG_RESAMPLED)}
     try:
-        return WeightedEnsemble(coeffs, weights, prov)
+        return WeightedEnsemble(coeffs, weights, bool(flags & FLAG_RESAMPLED))
     except ValueError as exc:
         # an empty ensemble, bad weights or non-finite numbers are a bad file
         raise KdveFormatError(f"not a valid ensemble: {exc}") from None

@@ -4,8 +4,9 @@ The base measure is the law of phi = sum_{n=1..M} (h_n c_n + l_n s_n) / n
 with independent standard normal h_n, l_n.  The Gibbs measure reweights it by
 f(u) = 1[|u|_{L2} <= r] * exp(kappa3 * integral of (P_N u)^3), represented
 here by self-normalised importance weights on Gaussian draws.  Empirical
-measures are carried as weighted ensembles; the metric they are compared in
-is chosen by the caller of each distance.
+measures are carried as weighted ensembles, which remember one bit of how
+they were drawn: whether they were multinomially resampled.  The metric
+they are compared in is chosen by the caller of each distance.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ class InsufficientDataError(RuntimeError):
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Truncation, seed and reporting exponents for the Gaussian sampler."""
+    """Truncation and seed of the Gaussian sampler."""
 
     n_modes: int
     seed: int = 0
-    s_report: tuple[float, ...] = (0.0, 0.25, 0.45)
 
     def __post_init__(self):
         if self.n_modes < 1:
@@ -57,6 +57,8 @@ class GibbsSpec:
     def __post_init__(self):
         if not self.cutoff_radius > 0:
             raise ValueError("cutoff radius must be positive")
+        if not math.isfinite(self.cubic_coefficient):
+            raise ValueError("cubic coefficient must be finite")
         if self.projection is not None and self.projection < 0:
             raise ValueError("projection cutoff must be >= 0")
 
@@ -65,10 +67,12 @@ class WeightedEnsemble:
     """Finite weighted collection of fields standing in for a measure.
 
     Samples are stored as a (n, M) array of finite mode amplitudes; weights
-    are nonnegative and sum to one.
+    are nonnegative and sum to one.  ``resampled`` records whether the draws
+    were multinomially resampled to uniform weights; every ensemble derived
+    from this one keeps it, and the .kdve flags byte stores it.
     """
 
-    def __init__(self, coeffs, weights, provenance=None):
+    def __init__(self, coeffs, weights, resampled: bool = False):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.ndim != 2 or coeffs.shape[0] == 0 or coeffs.shape[1] == 0:
             raise ValueError("ensemble needs a nonempty (n, M) coefficient array")
@@ -83,7 +87,7 @@ class WeightedEnsemble:
             raise ValueError("weights must sum to one within 1e-12")
         self.coeffs = coeffs
         self.weights = weights
-        self.provenance = dict(provenance or {})
+        self.resampled = bool(resampled)
 
     @property
     def n(self) -> int:
@@ -105,9 +109,6 @@ class WeightedEnsemble:
     def hs_norms(self, s: float) -> np.ndarray:
         return spectral.sobolev_norms_many(self.coeffs, s)
 
-    def weighted_mean(self, values: np.ndarray) -> float:
-        return float(np.sum(self.weights * values))
-
     def padded(self, m: int) -> "WeightedEnsemble":
         if m < self.n_modes:
             raise ValueError("cannot pad to fewer modes")
@@ -115,13 +116,13 @@ class WeightedEnsemble:
             return self
         out = np.zeros((self.n, m), dtype=np.complex128)
         out[:, : self.n_modes] = self.coeffs
-        return WeightedEnsemble(out, self.weights, self.provenance)
+        return self.replace(coeffs=out)
 
-    def replace(self, coeffs=None, weights=None, provenance=None) -> "WeightedEnsemble":
+    def replace(self, coeffs=None, weights=None) -> "WeightedEnsemble":
         return WeightedEnsemble(
             self.coeffs if coeffs is None else coeffs,
             self.weights if weights is None else weights,
-            self.provenance if provenance is None else provenance,
+            self.resampled,
         )
 
 
@@ -145,10 +146,7 @@ def sample_gaussian(spec: GaussianSpec, n: int) -> WeightedEnsemble:
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    coeffs = _gaussian_coeffs(spec, n)
-    weights = np.full(n, 1.0 / n)
-    prov = {"kind": "gaussian", "seed": spec.seed, "n_modes": spec.n_modes, "resampled": False}
-    return WeightedEnsemble(coeffs, weights, prov)
+    return WeightedEnsemble(_gaussian_coeffs(spec, n), np.full(n, 1.0 / n))
 
 
 def expected_hs_norm_sq(n_modes: int, s: float) -> float:
@@ -183,7 +181,7 @@ def sample_gibbs(spec: GibbsSpec, n: int, resample: bool = False) -> tuple[Weigh
     Draws phi_i from the Gaussian base, sets w_i proportional to f(phi_i) and
     self-normalises; kappa is estimated by n / sum_i f(phi_i).  With
     ``resample=True`` the ensemble is multinomially resampled back to uniform
-    weights (recorded in the provenance and the file flags).
+    weights (recorded in ``resampled`` and the file flags).
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -197,22 +195,12 @@ def sample_gibbs(spec: GibbsSpec, n: int, resample: bool = False) -> tuple[Weigh
         )
     kappa = n / total
     weights = raw / total
-    prov = {
-        "kind": "gibbs",
-        "seed": spec.base.seed,
-        "n_modes": spec.base.n_modes,
-        "resampled": False,
-        "kappa": kappa,
-        "cutoff_radius": spec.cutoff_radius,
-        "cubic_coefficient": spec.cubic_coefficient,
-    }
     if resample:
         rng = substream(derive_seed(spec.base.seed, 0x5E5A), 0)
         idx = np.sort(rng.choice(n, size=n, p=weights))
         coeffs = coeffs[idx]
         weights = np.full(n, 1.0 / n)
-        prov["resampled"] = True
-    return WeightedEnsemble(coeffs, weights, prov), float(kappa)
+    return WeightedEnsemble(coeffs, weights, resample), float(kappa)
 
 
 def pushforward_many(ensembles, t: float, cfg: flow.SolverConfig) -> list[WeightedEnsemble]:
@@ -238,9 +226,7 @@ def pushforward_many(ensembles, t: float, cfg: flow.SolverConfig) -> list[Weight
         coeffs = np.zeros((ens.n, cfg.n_modes), dtype=np.complex128)
         coeffs[live] = rows
         coeffs[~live, :keep] = ens.coeffs[~live, :keep]
-        prov = dict(ens.provenance)
-        prov["evolved_t"] = prov.get("evolved_t", 0.0) + t
-        out.append(WeightedEnsemble(coeffs, ens.weights, prov))
+        out.append(ens.replace(coeffs=coeffs))
     return out
 
 
@@ -251,10 +237,7 @@ def pushforward(ens: WeightedEnsemble, t: float, cfg: flow.SolverConfig) -> Weig
 
 def pushforward_linear(ens: WeightedEnsemble, t: float) -> WeightedEnsemble:
     """Exact pushforward under the linear group."""
-    out = flow.linear_flow_many(ens.coeffs, t)
-    prov = dict(ens.provenance)
-    prov["evolved_t_linear"] = prov.get("evolved_t_linear", 0.0) + t
-    return WeightedEnsemble(out, ens.weights, prov)
+    return ens.replace(coeffs=flow.linear_flow_many(ens.coeffs, t))
 
 
 _FUNCTIONALS = ("linf", "l2", "hs")

@@ -9,7 +9,14 @@ spatial mean.  Amplitudes are normalised against the orthonormal L2 basis
     u = sum_n a_n c_n + b_n s_n   <->   u_hat(n) = (a_n - i b_n) * sqrt(pi)/2
 
 which makes ``sobolev_norm(c_1, s=0) == 1`` and keeps all Sobolev norms plain
-weighted sums of squared amplitudes.
+weighted sums of squared amplitudes.  A field is built from its amplitudes
+with ``TorusField`` itself, or from basis modes with ``cosine_mode`` and
+``sine_mode``.  The norms and the grid evaluation have batched forms over a
+(batch, M) amplitude array, and their one-field forms are views of those.
+The cubic integral has two paths: ``integral_u3``, an exact triple
+convolution that ``hamiltonian`` reads, and ``integral_u3_many``, the
+quadrature that the Gibbs weights and the invariance cubic read; the tests
+hold each to the other.
 """
 
 from __future__ import annotations
@@ -73,14 +80,6 @@ class TorusField:
         return TorusField(-self.modes)
 
 
-def make_field(coeffs) -> TorusField:
-    """Build a field from amplitudes ``u_hat(k)``, k = 1..M."""
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128))
-    if coeffs.size == 0:
-        raise ValueError("empty coefficient list")
-    return TorusField(coeffs)
-
-
 def zero_field(m: int = 1) -> TorusField:
     return TorusField(np.zeros(m, dtype=np.complex128))
 
@@ -101,25 +100,6 @@ def sine_mode(n: int, m: int | None = None) -> TorusField:
     out = np.zeros(m if m is not None else n, dtype=np.complex128)
     out[n - 1] = -1j * BASIS_TO_MODE
     return TorusField(out)
-
-
-def from_basis(a, b) -> TorusField:
-    """Field with orthonormal-basis coefficients u = sum a_n c_n + b_n s_n."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("cosine and sine coefficient arrays must match")
-    return TorusField((a - 1j * b) * BASIS_TO_MODE)
-
-
-def basis_coeffs(u: TorusField) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`from_basis`: returns (a, b)."""
-    return u.modes.real / BASIS_TO_MODE, -u.modes.imag / BASIS_TO_MODE
-
-
-def grid(n: int) -> np.ndarray:
-    """Equispaced torus grid x_j = 2 pi j / n."""
-    return 2.0 * np.pi * np.arange(n) / n
 
 
 def evaluate(u: TorusField, n: int | None = None) -> np.ndarray:
@@ -174,14 +154,6 @@ def project(u: TorusField, n_keep: int) -> TorusField:
     return TorusField(out)
 
 
-def inner_product(u: TorusField, v: TorusField) -> float:
-    """L2 inner product via mode amplitudes."""
-    m = max(u.n_modes, v.n_modes)
-    a = u.padded(m).modes
-    b = v.padded(m).modes
-    return float(NORM_FACTOR * np.sum(a * np.conj(b)).real)
-
-
 def integral_u3(u: TorusField) -> float:
     """Integral of u^3 over the torus, by triple mode convolution (exact)."""
     m = u.n_modes
@@ -194,20 +166,13 @@ def integral_u3(u: TorusField) -> float:
     return float(2.0 * np.pi * np.sum(seg * full[::-1]).real)
 
 
-def integral_u3_quadrature(u: TorusField) -> float:
-    """Integral of u^3 by equispaced quadrature on 3M+1 points.
-
-    The periodic trapezoid rule is exact for trigonometric polynomials of
-    degree <= 3M on this grid, so this must agree with :func:`integral_u3`
-    to roundoff; the pair acts as a cross-check.
-    """
-    n = 3 * u.n_modes + 1
-    vals = evaluate(u, n)
-    return float(np.sum(vals**3) * (2.0 * np.pi / n))
-
-
 def integral_u3_many(coeffs: np.ndarray) -> np.ndarray:
-    """Vectorised cubic integrals for a (batch, M) amplitude array."""
+    """Cubic integrals of each row of a (batch, M) amplitude array, by quadrature.
+
+    The periodic trapezoid rule on the least power of two n >= 3M+1 points
+    is exact for trigonometric polynomials of degree <= 3M, so each row
+    agrees with :func:`integral_u3` to roundoff.
+    """
     m = coeffs.shape[-1]
     n = 4
     while n < 3 * m + 1:

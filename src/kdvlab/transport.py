@@ -556,23 +556,10 @@ def combined_metric_parts(
     return CombinedDistance(w_inf, w_p, backend, plan, inf_plan, epsilon, iterations)
 
 
-def combined_metric(
-    a: WeightedEnsemble,
-    b: WeightedEnsemble,
-    s: float,
-    p: float,
-    backend: str = "exact",
-    epsilon: float | None = None,
-) -> float:
-    """Bottleneck-in-L2 plus order-p-in-H^s distance between two ensembles."""
-    return combined_metric_parts(a, b, s, p, backend, epsilon).total
-
-
 @dataclass(frozen=True)
 class PushforwardCost:
     """Cost of one fixed coupling after both supports are evolved."""
 
-    t: float
     w_p_bound: float
     w_inf_bound: float
 
@@ -585,16 +572,16 @@ def plan_cost(
     a_t: WeightedEnsemble,
     b_t: WeightedEnsemble,
     plan: TransportPlan,
-    t: float,
     s: float,
     p: float,
     inf_plan: TransportPlan | None = None,
 ) -> PushforwardCost:
-    """Price fixed plans on two ensembles already evolved to time t.
+    """Price fixed plans on two ensembles already evolved to some time t.
 
     The order-p bound is the price of ``plan`` in H^s; the bottleneck bound
-    is the longest L2 edge of ``inf_plan`` (``plan`` when None).  Only the pairs in a plan's support are priced, so rows and columns of
-    zero weight may hold any finite values (``measures.pushforward`` leaves
+    is the longest L2 edge of ``inf_plan`` (``plan`` when None).  Only the
+    pairs in a plan's support are priced, so rows and columns of zero
+    weight may hold any finite values (``measures.pushforward`` leaves
     them unevolved).  Priced on the same evolved ensembles that a re-optimised
     distance at t is computed from, each plan is one of the couplings that
     distance minimises over, so each bound dominates it by construction.
@@ -605,7 +592,7 @@ def plan_cost(
     dist_l2 = _pair_distances(xa, xb, inf_plan.rows, inf_plan.cols, 0.0)
     w_p = float(np.sum(plan.mass * dist_hs**p)) ** (1.0 / p)
     w_inf = float(np.max(dist_l2)) if dist_l2.size else 0.0
-    return PushforwardCost(t=t, w_p_bound=w_p, w_inf_bound=w_inf)
+    return PushforwardCost(w_p_bound=w_p, w_inf_bound=w_inf)
 
 
 # --- persistence ------------------------------------------------------------

@@ -120,20 +120,30 @@ def test_solve_rejects_nonpositive_samples(tmp_path, capsys):
 def test_bad_argument_values_are_usage_errors(tmp_path, capsys):
     solve = ["solve", "--t", "0.1", "--out", str(tmp_path / "s")]
     sample = ["sample", "--out", str(tmp_path / "e.kdve")]
-    bad_calls = {
-        "--init": solve + ["--init", "c1+"],
-        "--modes": solve + ["--init", "c1", "--modes", "2"],
-        "--dt": solve + ["--init", "c1", "--dt", "0"],
-        "--n": sample + ["--n", "0"],
-        "--cutoff": sample + ["--n", "8", "--measure", "gibbs", "--cutoff", "-1"],
-    }
-    for flag, argv in bad_calls.items():
+    gibbs = sample + ["--n", "50", "--measure", "gibbs"]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = continuity\nmodes = 4\nensemble_size = 16\n")
+    experiment = ["experiment", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    bad_calls = [
+        ("--init", solve + ["--init", "c1+"]),
+        ("--modes", solve + ["--init", "c1", "--modes", "2"]),
+        ("--dt", solve + ["--init", "c1", "--dt", "0"]),
+        ("--n", sample + ["--n", "0"]),
+        ("--cutoff", sample + ["--n", "8", "--measure", "gibbs", "--cutoff", "-1"]),
+        ("--coeff", gibbs + ["--coeff", "inf"]),
+        ("--coeff", gibbs + ["--coeff", "nan"]),
+        ("--threads", experiment + ["--threads", "0"]),
+        ("--threads", experiment + ["--threads", "-1"]),
+    ]
+    for flag, argv in bad_calls:
         assert cli_entry(argv) == EXIT_USAGE, flag
         captured = capsys.readouterr()
         assert captured.out == ""
-        payload = json.loads(captured.err)
+        (line,) = captured.err.splitlines()
+        payload = json.loads(line)
         assert payload["error"] == "usage" and flag in payload["message"], payload
-    assert not (tmp_path / "s").exists() and not (tmp_path / "e.kdve").exists()
+    for out in ("s", "e.kdve", "run"):
+        assert not (tmp_path / out).exists()
 
     # a ValueError raised by the numerics is still a numerical failure
     too_big_step = solve + ["--init", "c1", "--modes", "64", "--dt", "0.5"]
@@ -200,7 +210,7 @@ def test_vanishing_perturbation_is_a_config_error(tmp_path, capsys, experiment):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             f"experiment = {experiment}\nmodes = 4\nensemble_size = 8\nsolver_modes = 16\n"
-            f"time_grid = 0.1\nperturbation = {perturbation}\nperturbation_delta = {delta}\n"
+            f"time_grid = 0.1, 0.2\nperturbation = {perturbation}\nperturbation_delta = {delta}\n"
         )
         out = tmp_path / "run"
         assert cli_entry(["experiment", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
@@ -209,6 +219,40 @@ def test_vanishing_perturbation_is_a_config_error(tmp_path, capsys, experiment):
         payload = json.loads(captured.err)
         assert payload["error"] == "config" and "perturbation_delta" in payload["message"]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("text, word", [
+    pytest.param("experiment = invariance_nonlinear\ntime_grid =\n", "time grid",
+                 id="empty-grid-invariance"),
+    pytest.param("experiment = galerkin\nmeasure = gaussian\ntime_grid =\n", "time grid",
+                 id="empty-grid-galerkin"),
+    pytest.param("experiment = continuity\ntime_grid = 0.1\n", "time grid",
+                 id="one-time-continuity"),
+    pytest.param("experiment = tails\nmeasure = gaussian\ntail_functionals = linf, sup\n",
+                 "tail functionals", id="unknown-tail-functional"),
+    pytest.param("experiment = galerkin\nmeasure = gaussian\nprojection_grid = 8, 8\n",
+                 "projection_grid", id="one-band-galerkin"),
+    pytest.param("experiment = invariance_nonlinear\nbootstrap_replicas = 1\n",
+                 "bootstrap_replicas", id="one-replica-invariance"),
+    pytest.param("experiment = continuity\ncubic_coefficient = inf\n", "cubic_coefficient",
+                 id="infinite-cubic-coefficient"),
+    pytest.param("experiment = invariance_nonlinear\ncubic_coefficient = nan\n",
+                 "cubic_coefficient", id="nan-cubic-coefficient"),
+])
+def test_configs_no_run_can_use_are_rejected_before_sampling(tmp_path, capsys, count_calls, text, word):
+    from kdvlab.measures import _gaussian_coeffs
+
+    draws = count_calls(_gaussian_coeffs)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("modes = 4\nensemble_size = 16\nsolver_modes = 16\n" + text)
+    out = tmp_path / "run"
+    assert cli_entry(["experiment", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "config" and word in payload["message"], payload
+    assert draws == [] and not out.exists()
 
 
 def test_projection_and_init_above_the_truncation_are_usage_errors(tmp_path, capsys):

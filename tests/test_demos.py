@@ -19,6 +19,8 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    # a demo prints only its narrative: a warning on stderr is a failure too
+    assert proc.stderr == ""
 
 
 def test_demos_are_found():

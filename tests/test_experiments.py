@@ -66,6 +66,9 @@ def test_config_invariants():
         parse_config_text("experiment = tails\nmeasure = gibbs\n")
     with pytest.raises(ConfigError):
         parse_config_text("experiment = invariance_nonlinear\nmeasure = gaussian\n")
+    for bad in ("inf", "-inf", "nan"):
+        with pytest.raises(ConfigError, match="cubic_coefficient"):
+            parse_config_text(f"cubic_coefficient = {bad}\n")
 
 
 def test_config_hash_stability():
@@ -152,20 +155,20 @@ def test_continuity_small_structure():
 def test_continuity_identical_ensembles_zero():
     cfg = parse_config_text(
         "experiment = continuity\nmeasure = gibbs\nmodes = 8\nensemble_size = 64\n"
-        "solver_modes = 24\ntime_grid = 0.2\nperturbation_delta = 0\nseed = 3\n"
+        "solver_modes = 24\ntime_grid = 0.2, 0.4\nperturbation_delta = 0\nseed = 3\n"
     )
     # delta = 0 makes nu identical to mu: distances vanish at every time
     from kdvlab.experiments import _base_ensemble, _perturb
     from kdvlab.measures import pushforward
-    from kdvlab.transport import combined_metric
+    from kdvlab.transport import combined_metric_parts
 
     mu, _ = _base_ensemble(cfg)
     nu = _perturb(mu, cfg)
-    assert combined_metric(mu, nu, cfg.s, cfg.p) == 0.0
+    assert combined_metric_parts(mu, nu, cfg.s, cfg.p).total == 0.0
     solver = cfg.solver()
     mu_t = pushforward(mu, 0.2, solver)
     nu_t = pushforward(nu, 0.2, solver)
-    assert combined_metric(mu_t, nu_t, cfg.s, cfg.p) == 0.0
+    assert combined_metric_parts(mu_t, nu_t, cfg.s, cfg.p).total == 0.0
 
 
 def test_galerkin_report_shape():
@@ -182,7 +185,7 @@ def test_galerkin_report_shape():
         run_galerkin(
             parse_config_text(
                 "experiment = galerkin\nmeasure = gaussian\nmodes = 16\n"
-                "solver_modes = 16\nprojection_grid = 32\ntime_grid = 0.3\n"
+                "solver_modes = 16\nprojection_grid = 8, 32\ntime_grid = 0.3\n"
                 "s = 0.2\nsigma = 0.45\n"
             )
         )
@@ -238,11 +241,11 @@ def test_load_config_file(tmp_path):
 def test_paired_seed_control():
     # same seed gives the identical empirical measure: distance exactly zero
     from kdvlab.measures import GaussianSpec, GibbsSpec, sample_gibbs
-    from kdvlab.transport import combined_metric
+    from kdvlab.transport import combined_metric_parts
 
     a, _ = sample_gibbs(GibbsSpec(GaussianSpec(8, seed=13)), 256)
     b, _ = sample_gibbs(GibbsSpec(GaussianSpec(8, seed=13)), 256)
-    assert combined_metric(a, b, 0.25, 2.0) == 0.0
+    assert combined_metric_parts(a, b, 0.25, 2.0).total == 0.0
 
 
 # --- the bound is priced on the ensembles the distance is computed from -------

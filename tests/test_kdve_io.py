@@ -16,7 +16,7 @@ def test_round_trip_bytes(tmp_path):
     back = read_ensemble(path)
     assert np.array_equal(back.coeffs, ens.coeffs)
     assert np.array_equal(back.weights, ens.weights)
-    assert back.provenance["resampled"] is False
+    assert back.resampled is False
 
     write_ensemble(tmp_path / "f.kdve", back)
     assert (tmp_path / "e.kdve").read_bytes() == (tmp_path / "f.kdve").read_bytes()
@@ -43,7 +43,7 @@ def test_resampled_flag_round_trip(tmp_path):
     path = tmp_path / "r.kdve"
     write_ensemble(path, ens)
     assert path.read_bytes()[20] == 1
-    assert read_ensemble(path).provenance["resampled"] is True
+    assert read_ensemble(path).resampled is True
 
 
 def test_format_errors(tmp_path):

@@ -12,6 +12,7 @@ from kdvlab.measures import (
     f_convergence_probe,
     gibbs_weight,
     pushforward,
+    pushforward_linear,
     pushforward_many,
     sample_gaussian,
     sample_gibbs,
@@ -116,10 +117,16 @@ def test_sample_gibbs_kappa_cross_seed():
 def test_resampling_flag_and_uniformity():
     spec = GibbsSpec(GaussianSpec(n_modes=8, seed=4))
     ens, _ = sample_gibbs(spec, 256, resample=True)
-    assert ens.provenance["resampled"] is True
+    assert ens.resampled is True
     assert np.allclose(ens.weights, 1.0 / 256)
     again, _ = sample_gibbs(spec, 256, resample=True)
     assert np.array_equal(ens.coeffs, again.coeffs)
+
+
+def test_gibbs_spec_rejects_a_non_finite_cubic_coefficient():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="cubic coefficient"):
+            GibbsSpec(GaussianSpec(n_modes=4), cubic_coefficient=bad)
 
 
 def test_weighted_ensemble_validation():
@@ -191,7 +198,7 @@ def _same_ensemble(x, y):
     return (
         np.array_equal(x.coeffs.view(np.float64), y.coeffs.view(np.float64))
         and np.array_equal(x.weights, y.weights)
-        and x.provenance == y.provenance
+        and x.resampled == y.resampled
     )
 
 
@@ -199,7 +206,6 @@ def test_pushforward_many_equals_pushforward_when_the_steps_agree():
     cfg = SolverConfig(n_modes=16)
     mu, _ = sample_gibbs(GibbsSpec(GaussianSpec(n_modes=8, seed=11)), 64)
     nu, _ = sample_gibbs(GibbsSpec(GaussianSpec(n_modes=8, seed=12)), 96)
-    nu = nu.replace(provenance={**nu.provenance, "evolved_t": 0.5})
     assert np.any(mu.weights == 0) and np.any(nu.weights == 0)
     # the 1e-3 cap binds for both, so the joint batch keeps each one's step
     amps = [np.max(linf_norms_many(e.coeffs[e.weights > 0])) for e in (mu, nu)]
@@ -208,7 +214,29 @@ def test_pushforward_many_equals_pushforward_when_the_steps_agree():
     assert len(joint) == 2
     assert _same_ensemble(joint[0], pushforward(mu, 0.03, cfg))
     assert _same_ensemble(joint[1], pushforward(nu, 0.03, cfg))
-    assert joint[1].provenance["evolved_t"] == 0.53
+
+
+@pytest.mark.parametrize("resample", [False, True])
+def test_resampled_flag_survives_every_derived_ensemble(tmp_path, resample):
+    from kdvlab.experiments import _perturb, parse_config_text
+    from kdvlab.kdve_io import read_ensemble, write_ensemble
+
+    ens, _ = sample_gibbs(GibbsSpec(GaussianSpec(n_modes=8, seed=4)), 64, resample=resample)
+    assert ens.resampled is resample
+    cfg = SolverConfig(n_modes=16)
+    derived = {
+        "padded": ens.padded(12),
+        "replace": ens.replace(coeffs=2.0 * ens.coeffs),
+        "pushforward_many": pushforward_many([ens, ens], 0.01, cfg)[1],
+        "pushforward_linear": pushforward_linear(ens, 0.3),
+    }
+    for perturbation in ("mode_shift", "rescale"):
+        exp = parse_config_text(f"perturbation = {perturbation}\nperturbation_mode = 10\n")
+        derived[perturbation] = _perturb(ens, exp)
+    write_ensemble(tmp_path / "e.kdve", ens)
+    derived["kdve round trip"] = read_ensemble(tmp_path / "e.kdve")
+    for name, out in derived.items():
+        assert out.resampled is resample, name
 
 
 def test_pushforward_many_steps_every_ensemble_with_the_smaller_step():

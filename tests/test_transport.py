@@ -18,7 +18,6 @@ from kdvlab.transport import (
     _live_block,
     _plan_from,
     _transport_lp,
-    combined_metric,
     combined_metric_parts,
     cost_matrix,
     plan_cost,
@@ -345,11 +344,11 @@ def test_bottleneck_weighted_matches_2x2_oracle():
 
 def test_combined_metric_trivial_cases():
     a = uniform_ensemble(4, 3, seed=15)
-    assert combined_metric(a, a, 0.25, 2.0) == 0.0
+    assert combined_metric_parts(a, a, 0.25, 2.0).total == 0.0
     x = cosine_mode(1, 2)
     y = 0.3 * cosine_mode(2)
     expect = sobolev_norm(x - y, 0.0) + sobolev_norm(x - y, 0.25)
-    assert combined_metric(singleton(x), singleton(y), 0.25, 2.0) == pytest.approx(
+    assert combined_metric_parts(singleton(x), singleton(y), 0.25, 2.0).total == pytest.approx(
         expect, rel=1e-12
     )
 
@@ -358,7 +357,7 @@ def test_combined_metric_matches_permutation_oracle():
     for seed in range(10):
         a = uniform_ensemble(4, 3, seed=seed)
         b = uniform_ensemble(4, 3, seed=3000 + seed)
-        got = combined_metric(a, b, 0.25, 2.0)
+        got = combined_metric_parts(a, b, 0.25, 2.0).total
         expect = brute_winf_uniform(a, b) + brute_wp_uniform(a, b, 0.25, 2.0)
         assert got == pytest.approx(expect, abs=1e-9)
 
@@ -395,19 +394,19 @@ def test_pushforward_cost_trivials_and_bound():
         return ens.replace(coeffs=evolve_many(ens.coeffs, t, cfg))
 
     value0, plan = wasserstein_p_exact(a, b, 0.25, 2.0)
-    at0 = plan_cost(a, b, plan, 0.0, 0.25, 2.0)
+    at0 = plan_cost(a, b, plan, 0.25, 2.0)
     assert at0.w_p_bound == pytest.approx(value0, rel=1e-12)
 
     # identity plan on a == b keeps coupled points together at every time
     _, ident = wasserstein_p_exact(a, a, 0.25, 2.0)
     a_moved = evolved(a, 0.4)
-    moved = plan_cost(a_moved, a_moved, ident, 0.4, 0.25, 2.0)
+    moved = plan_cost(a_moved, a_moved, ident, 0.25, 2.0)
     assert moved.w_p_bound == 0.0 and moved.w_inf_bound == 0.0
 
     # re-optimising after evolution can only decrease the coupled-plan price
     t = 0.5
     a_t, b_t = evolved(a, t), evolved(b, t)
-    bound = plan_cost(a_t, b_t, plan, t, 0.25, 2.0)
+    bound = plan_cost(a_t, b_t, plan, 0.25, 2.0)
     re_opt, _ = wasserstein_p_exact(a_t, b_t, 0.25, 2.0)
     assert bound.w_p_bound >= re_opt - 1e-12
 
@@ -418,10 +417,10 @@ def test_entropic_backend_flagged():
     parts = combined_metric_parts(a, b, 0.25, 2.0, backend="entropic")
     assert parts.backend == "entropic"
     assert parts.epsilon is not None and parts.epsilon > 0
-    exact = combined_metric(a, b, 0.25, 2.0)
+    exact = combined_metric_parts(a, b, 0.25, 2.0).total
     assert parts.total >= exact - 1e-9
     with pytest.raises(ValueError):
-        combined_metric(a, b, 0.25, 2.0, backend="fancy")
+        combined_metric_parts(a, b, 0.25, 2.0, backend="fancy")
 
 
 # --- pruning to the live support leaves every number unchanged ---------------
@@ -561,14 +560,14 @@ def test_pruned_pushforward_cost_equals_dense_reference():
             mask = full > 1e-15
             dist_hs = distances(xa, xb, s)
             dist_l2 = distances(xa, xb, 0.0)
-            got = plan_cost(a.replace(coeffs=xa), b.replace(coeffs=xb), plan, t, s, p)
+            got = plan_cost(a.replace(coeffs=xa), b.replace(coeffs=xb), plan, s, p)
             assert got.w_p_bound == float(np.sum(full[mask] * dist_hs[mask] ** p)) ** (1 / p)
             assert got.w_inf_bound == float(np.max(dist_l2[mask]))
 
 
 def test_pruned_metric_of_an_ensemble_with_itself_is_zero():
     a, _ = sparse_pair()
-    assert combined_metric(a, a, 0.25, 2.0) == 0.0
+    assert combined_metric_parts(a, a, 0.25, 2.0).total == 0.0
 
 
 def test_plan_cost_never_prices_dead_rows():
@@ -582,12 +581,12 @@ def test_plan_cost_never_prices_dead_rows():
             xa, xb = a.padded(b.n_modes).coeffs, b.coeffs
             if t != 0.0:
                 xa, xb = evolve_many(xa, t, cfg), evolve_many(xb, t, cfg)
-            want = plan_cost(a.replace(coeffs=xa), b.replace(coeffs=xb), plan, t, s, p)
+            want = plan_cost(a.replace(coeffs=xa), b.replace(coeffs=xb), plan, s, p)
             # rows and columns of zero weight may hold anything: they are never priced
             ya, yb = xa.copy(), xb.copy()
             ya[a.weights == 0] = 1e3
             yb[b.weights == 0] = -1e3
-            junk = plan_cost(a.replace(coeffs=ya), b.replace(coeffs=yb), plan, t, s, p)
+            junk = plan_cost(a.replace(coeffs=ya), b.replace(coeffs=yb), plan, s, p)
             assert junk == want
 
 
@@ -620,7 +619,7 @@ def test_value_is_the_price_of_its_plan_at_time_zero():
     ]
     for a, b in pairs:
         value, plan = wasserstein_p_exact(a, b, s, p)
-        assert value == plan_cost(a, b, plan, 0.0, s, p).w_p_bound
+        assert value == plan_cost(a, b, plan, s, p).w_p_bound
 
 
 def test_solvers_allocate_nothing_of_the_full_layout():
