@@ -104,6 +104,10 @@ class ExperimentConfig:
             raise ConfigError("measure experiments need 0 < s < 1/2")
         if self.experiment == "galerkin" and not (0 <= self.s < self.sigma):
             raise ConfigError("galerkin needs 0 <= s < sigma")
+        if not all(math.isfinite(t) for t in self.time_grid):
+            raise ConfigError("time grid entries must be finite")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ConfigError("dt must be finite and positive")
         if any(abs(t) > self.horizon for t in self.time_grid):
             raise ConfigError("time grid exceeds the configured horizon")
         if any(t2 <= t1 for t1, t2 in zip(self.time_grid, self.time_grid[1:])):
@@ -114,6 +118,10 @@ class ExperimentConfig:
             raise ConfigError("continuity fits a line: its time grid needs >= 2 times")
         if not math.isfinite(self.cubic_coefficient):
             raise ConfigError("cubic_coefficient must be finite")
+        if not self.cutoff_radius > 0:
+            raise ConfigError("cutoff_radius must be positive")
+        if self.perturbation_mode < 1:
+            raise ConfigError("perturbation_mode must be >= 1")
         if self.ensemble_size < 1 or self.modes < 1:
             raise ConfigError("ensemble size and modes must be positive")
         if self.threads < 1:
@@ -130,9 +138,14 @@ class ExperimentConfig:
             raise ConfigError("invariance_nonlinear needs bootstrap_replicas >= 2")
         if self.experiment == "galerkin" and len(set(self.projection_grid)) < 2:
             raise ConfigError("galerkin fits a line: projection_grid needs >= 2 distinct bands")
+        bands = self.projection_grid
+        if self.experiment == "galerkin" and not 1 <= min(bands) <= max(bands) <= self.solver_modes:
+            raise ConfigError("projection_grid bands must lie in 1..solver_modes")
         unknown = sorted(set(self.tail_functionals) - set(_FUNCTIONALS))
         if self.experiment == "tails" and unknown:
             raise ConfigError(f"unknown tail functionals {unknown}; expected any of {_FUNCTIONALS}")
+        if self.experiment == "tails" and not self.tail_functionals:
+            raise ConfigError("tails needs a nonempty list of tail functionals")
 
     def solver(self) -> SolverConfig:
         return SolverConfig(
@@ -462,6 +475,8 @@ def _null_band(cfg: ExperimentConfig, n_replicas: int) -> np.ndarray:
         ens_b, _ = _base_ensemble(cfg, seed=derive_seed(cfg.seed, 0xA0, r, 1))
         return combined_metric_parts(ens_a, ens_b, cfg.s, cfg.p, cfg.backend, cfg.epsilon).total
 
+    if cfg.threads == 1:
+        return np.array([one(r) for r in range(n_replicas)])
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         return np.array(list(pool.map(one, range(n_replicas))))
 
@@ -566,8 +581,6 @@ def run_galerkin(cfg: ExperimentConfig) -> ExperimentReport:
     ens = sample_gaussian(cfg.gaussian_spec(), 1)
     u0 = ens.field(0)
     solver = cfg.solver()
-    if max(cfg.projection_grid) > solver.n_modes:
-        raise ConfigError("projection grid exceeds the solver truncation")
     t_star = cfg.time_grid[-1]
     reference = evolve(u0, t_star, solver)
     series = []

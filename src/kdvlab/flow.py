@@ -57,8 +57,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_modes < 4:
             raise ValueError("solver needs at least 4 modes")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError("time step must be positive")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError("time step must be finite and positive")
         if not self.cfl_constant > 0:
             raise ValueError("cfl_constant must be positive")
 

@@ -190,7 +190,8 @@ def _transport_lp(wa, wb, cost):
     One variable per pair (i, j), in row-major order, so (rows, cols) is
     every pair; one row constraint per supply and one column constraint per
     demand, less the redundant last one.  The model is built column-wise in
-    numpy and solved on one bare HiGHS object with presolve and output off.
+    numpy, passed as arrays (int32 indices) and solved on one bare HiGHS
+    object with presolve and output off.
     Skipping ``linprog``'s wrapper and presolve leaves about a third of its
     time per solve on the live blocks of a Gibbs pair, at the same optimum.
     Raises ``RuntimeError`` unless HiGHS reports an optimum.
@@ -198,27 +199,22 @@ def _transport_lp(wa, wb, cost):
     n, m = cost.shape
     rows, cols = np.divmod(np.arange(n * m), m)
     two = cols < m - 1  # column n + j holds demand j, except the dropped last one
-    start = np.zeros(n * m + 1, np.int64)
+    start = np.zeros(n * m + 1, np.int32)
     np.cumsum(1 + two, out=start[1:])
-    index = np.empty(start[-1], np.int64)
+    index = np.empty(start[-1], np.int32)
     index[start[:-1]] = rows
     index[start[:-1][two] + 1] = n + cols[two]
-    lp = _highs.HighsLp()
-    lp.num_col_, lp.num_row_ = n * m, n + m - 1
-    lp.col_cost_ = cost.ravel()
-    lp.col_lower_ = np.zeros(n * m)
-    lp.col_upper_ = np.full(n * m, np.inf)
-    lp.row_lower_ = lp.row_upper_ = np.concatenate([wa, wb[:-1]])
-    matrix = lp.a_matrix_
-    matrix.format_ = _highs.MatrixFormat.kColwise
-    matrix.num_col_, matrix.num_row_ = lp.num_col_, lp.num_row_
-    # the binding converts integer arrays element by element; lists convert faster
-    matrix.start_, matrix.index_ = start.tolist(), index.tolist()
-    matrix.value_ = np.ones(index.size)
+    bounds = np.concatenate([wa, wb[:-1]])
     highs = _highs._Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("presolve", "off")
-    highs.passModel(lp)
+    # positional: sizes, format, sense, offset, costs, column and row bounds, matrix, integrality
+    highs.passModel(
+        n * m, n + m - 1, index.size, int(_highs.MatrixFormat.kColwise),
+        int(_highs.ObjSense.kMinimize), 0.0, cost.ravel(), np.zeros(n * m),
+        np.full(n * m, np.inf), bounds, bounds, start, index, np.ones(index.size),
+        np.zeros(n * m, np.int32),
+    )
     highs.run()
     if highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
         raise RuntimeError("transport LP failed")

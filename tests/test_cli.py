@@ -238,6 +238,20 @@ def test_vanishing_perturbation_is_a_config_error(tmp_path, capsys, experiment):
                  id="infinite-cubic-coefficient"),
     pytest.param("experiment = invariance_nonlinear\ncubic_coefficient = nan\n",
                  "cubic_coefficient", id="nan-cubic-coefficient"),
+    pytest.param("experiment = continuity\ntime_grid = 0.1, nan\n", "time grid",
+                 id="nan-time"),
+    pytest.param("experiment = continuity\ndt = inf\n", "dt", id="infinite-dt"),
+    pytest.param("experiment = continuity\ndt = nan\n", "dt", id="nan-dt"),
+    pytest.param("experiment = continuity\nperturbation_mode = 0\n", "perturbation_mode",
+                 id="zero-perturbation-mode"),
+    pytest.param("experiment = continuity\ncutoff_radius = -1\n", "cutoff_radius",
+                 id="negative-cutoff-radius"),
+    pytest.param("experiment = galerkin\nmeasure = gaussian\nprojection_grid = 8, 32\n",
+                 "projection_grid", id="projection-above-solver-modes"),
+    pytest.param("experiment = galerkin\nmeasure = gaussian\nprojection_grid = 0, 8\n",
+                 "projection_grid", id="zero-band-galerkin"),
+    pytest.param("experiment = tails\nmeasure = gaussian\ntail_functionals =\n",
+                 "tail functionals", id="empty-tail-functionals"),
 ])
 def test_configs_no_run_can_use_are_rejected_before_sampling(tmp_path, capsys, count_calls, text, word):
     from kdvlab.measures import _gaussian_coeffs

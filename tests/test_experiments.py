@@ -127,6 +127,29 @@ def test_determinism_across_runs_and_threads(tmp_path):
     assert series[0] == series[1] == series[2]
 
 
+def test_null_band_pools_only_above_one_worker(monkeypatch):
+    from kdvlab import experiments
+
+    cfg = parse_config_text(SMALL_INVARIANCE, threads=1)
+    pool_class = experiments.ThreadPoolExecutor
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("threads = 1 built an executor")
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+    serial = experiments._null_band(cfg, 4)
+    pools = []
+
+    def counted_pool(*args, **kwargs):
+        pools.append(kwargs)
+        return pool_class(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", counted_pool)
+    pooled = experiments._null_band(dataclasses.replace(cfg, threads=2), 4)
+    assert pools == [{"max_workers": 2}]
+    assert serial.shape == (4,) and serial.tobytes() == pooled.tobytes()
+
+
 def test_stability_ratio_scales_with_delta():
     base = (
         "experiment = stability\nmeasure = gibbs\nmodes = 8\nensemble_size = 96\n"

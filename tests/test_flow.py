@@ -66,8 +66,9 @@ def test_linear_flow_is_its_batched_form_row_by_row():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(n_modes=2)
-    with pytest.raises(ValueError):
-        SolverConfig(dt=-1e-3)
+    for dt in (-1e-3, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(dt=dt)
     with pytest.raises(ValueError):
         SolverConfig(cfl_constant=0.0)
     cfg = SolverConfig(n_modes=64, dt=1.0)
