@@ -8,9 +8,10 @@ Three solvers over the coupling polytope Marg(a, b):
   linear program otherwise, built in numpy as one HiGHS model and solved
   through scipy's private HiGHS binding, without ``linprog``),
 * a bottleneck solver for the order-infinity distance (a threshold search
-  that climbs from every live draw's nearest edge, each failed max-flow or
-  matching naming the next threshold through its min cut, capped by a
-  witness coupling; the last flow is the plan),
+  that climbs from the least threshold at which every single live draw's
+  mass fits, each failed max-flow or matching naming the next threshold
+  through its min cut, capped by a witness coupling; the last flow is the
+  plan),
 * an entropically regularised one whose plan is rounded back to exact
   feasibility, so its value always upper-bounds the exact optimum; its
   default regularisation is set from the live costs.
@@ -23,11 +24,13 @@ the live block only (a Gibbs ensemble keeps a few percent of its draws).
 One private builder checks the marginals, gathers the live draws and
 weights, decides whether the marginals are uniform and equal-size, and
 fills the live H^s and L2 distances from one squared difference per row
-block.  ``combined_metric_parts`` builds that block once per pair and
-hands it to both solvers; a solver called alone builds its own.  A plan
-is stored as its support, in full-layout indices, so no solver allocates
-an (n, m) array.  The order-p plan is the bottleneck search's witness,
-and both plans are returned, so a caller never solves a pair twice.
+block, held with its weighted copy in two real buffers that every block
+reuses; plans are priced by the same kernel.  ``combined_metric_parts``
+builds that block once per pair and hands it to both solvers; a solver
+called alone builds its own.  A plan is stored as its support, in
+full-layout indices, so no solver allocates an (n, m) array.  The
+order-p plan is the bottleneck search's witness, and both plans are
+returned, so a caller never solves a pair twice.
 Where the witness's longest edge meets the lower bound (as on a pair and
 its small perturbation, whose weights agree and whose order-p part one
 assignment certifies), the metric runs no LP and no max-flow.
@@ -114,35 +117,62 @@ def _hs_weights(n_modes: int, s: float) -> np.ndarray:
     return NORM_FACTOR * k ** (2 * s)
 
 
+def _weighted_norms(outs, weights, ar, ai, br, bi, sq, tmp) -> None:
+    """Write sqrt(sum_k w_k |a_k - b_k|^2) of the broadcast pair (a, b) into ``outs``, one per w.
+
+    ``(ar, ai)`` and ``(br, bi)`` are the real and imaginary parts of a and
+    b; ``sq`` and ``tmp`` are real buffers of their broadcast shape.  These
+    are the IEEE operations of ``d.real**2 + d.imag**2`` on the complex
+    difference d and of ``np.sum(w * sq, axis=-1)``, in the same order, so
+    every distance has their bits; no complex or weighted block is allocated.
+    """
+    np.subtract(ar, br, out=sq)
+    np.subtract(ai, bi, out=tmp)
+    np.square(sq, out=sq)
+    np.square(tmp, out=tmp)
+    np.add(sq, tmp, out=sq)
+    for out, w in zip(outs, weights):
+        np.sum(np.multiply(w, sq, out=tmp), axis=-1, out=out)
+        np.sqrt(out, out=out)
+
+
 def _distance_matrices(xa: np.ndarray, xb: np.ndarray, exponents) -> list[np.ndarray]:
     """Pairwise H^s distances for each s in ``exponents``, by direct differencing.
 
     Each row block forms its squared differences once and weighs them for
     every s, so ties give exact zeros and every s costs one weighted sum.
+    The two real block buffers are allocated once and reused by every block.
     """
     if min(exponents) < 0:
         raise ValueError("regularity exponent must be >= 0")
-    n, m = xa.shape[0], xb.shape[0]
-    weights = [_hs_weights(xa.shape[1], s) for s in exponents]
+    (n, k), m = xa.shape, xb.shape[0]
+    weights = [_hs_weights(k, s) for s in exponents]
     out = [np.empty((n, m)) for _ in exponents]
-    block = max(1, (1 << 22) // max(1, m * xa.shape[1]))
+    block = max(1, (1 << 22) // max(1, m * k))
+    sq, tmp = (np.empty((min(block, n), m, k)) for _ in range(2))
+    ar, ai, br, bi = (np.ascontiguousarray(part) for x in (xa, xb) for part in (x.real, x.imag))
     for start in range(0, n, block):
-        diff = xa[start : start + block, None, :] - xb[None, :, :]
-        sq = diff.real**2 + diff.imag**2
-        del diff  # freed before the weighted sums, which allocate block-sized temporaries
-        for dist, w in zip(out, weights):
-            dist[start : start + block] = np.sqrt(np.sum(w * sq, axis=-1))
+        rows, size = slice(start, start + block), min(block, n - start)
+        _weighted_norms(
+            [dist[rows] for dist in out], weights, ar[rows, None], ai[rows, None],
+            br[None], bi[None], sq[:size], tmp[:size],
+        )
     return out
 
 
 def _pair_distances(xa, xb, rows, cols, s: float) -> np.ndarray:
     """H^s distances |xa[rows[k]] - xb[cols[k]]| for the listed pairs, priced as the kernel does."""
-    w = _hs_weights(xa.shape[1], s)
+    k = xa.shape[1]
+    w = _hs_weights(k, s)
     out = np.empty(rows.size)
-    block = max(1, (1 << 22) // max(1, xa.shape[1]))
+    block = max(1, (1 << 22) // max(1, k))
+    sq, tmp = (np.empty((min(block, rows.size), k)) for _ in range(2))
     for start in range(0, rows.size, block):
-        diff = xa[rows[start : start + block]] - xb[cols[start : start + block]]
-        out[start : start + block] = np.sqrt(np.sum(w * (diff.real**2 + diff.imag**2), axis=-1))
+        r, c = rows[start : start + block], cols[start : start + block]
+        _weighted_norms(
+            [out[start : start + r.size]], [w], xa.real[r], xa.imag[r], xb.real[c], xb.imag[c],
+            sq[: r.size], tmp[: r.size],
+        )
     return out
 
 
@@ -176,8 +206,9 @@ def _live_block(a: WeightedEnsemble, b: WeightedEnsemble, s: float) -> _LiveBloc
     if abs(a.weights.sum() - 1.0) > MARGINAL_TOL or abs(b.weights.sum() - 1.0) > MARGINAL_TOL:
         raise ValueError("infeasible marginals: ensemble weights must both sum to one")
     ia, ib = np.flatnonzero(a.weights > 0), np.flatnonzero(b.weights > 0)
-    xa, xb = _common_modes(a, b)
-    xa, xb = xa[ia], xb[ib]  # the dead rows are freed before the distance build
+    m = max(a.n_modes, b.n_modes)
+    # the live rows alone are padded to the common mode count
+    xa, xb = (np.pad(e.coeffs[i], ((0, 0), (0, m - e.n_modes))) for e, i in ((a, ia), (b, ib)))
     both = np.concatenate([a.weights, b.weights])
     uniform = a.n == b.n and np.allclose(both, 1.0 / a.n, atol=1e-12, rtol=0.0)
     dist = _distance_matrices(xa, xb, (s, 0.0) if s != 0 else (0.0,))
@@ -427,6 +458,26 @@ def _cut_threshold(sub: np.ndarray, mask: np.ndarray, short: np.ndarray, r, c) -
     return sub[np.ix_(rows, ~cols)].min(initial=np.inf)
 
 
+def _singleton_bound(sub: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> float:
+    """The least threshold at which each single row's units, and each column's, fit within it.
+
+    Row i's supply ``ua[i]`` can ship only to the columns within λ, so every
+    λ below the least one at which their demand units reach ``ua[i]`` is
+    infeasible; likewise for each column.  This is Hall's condition on
+    single draws; a row of no units needs its nearest edge, so the bound
+    is never below the nearest-edge one.
+    """
+
+    def side(dist, supply, demand):
+        order = np.argsort(dist, axis=1)  # the order of tied edges cannot move the threshold
+        reach = np.cumsum(demand[order], axis=1)  # demand within each row's nearest columns
+        first = np.count_nonzero(reach < supply[:, None], axis=1)
+        rows = np.arange(dist.shape[0])
+        return dist[rows, order[rows, first]].max()
+
+    return max(side(sub, ua, ub), side(sub.T, ub, ua))
+
+
 def _witness_edge(witness: TransportPlan | None, ia, ib, sub: np.ndarray):
     """Longest edge of ``witness`` on the live block ``sub``, or None if it certifies nothing.
 
@@ -455,7 +506,11 @@ def wasserstein_inf(
 
     The search climbs from a lower bound: every live row and column needs
     one edge, so the value is at least the largest nearest-edge distance of
-    any live draw, however light.  At each threshold λ a maximum flow on the
+    any live draw, however light.  For general marginals it starts higher,
+    at the least λ at which each single draw's mass fits into the draws
+    within λ of it (``_singleton_bound``); below that λ no flow is
+    feasible, so the climb ends at the same λ with the same flow, in fewer
+    probes.  At each threshold λ a maximum flow on the
     edges ``<= λ`` decides feasibility: integer units of mass (weights
     rounded to multiples of ``1 / _FLOW_SCALE`` by largest remainder) for
     general marginals, a bipartite matching for uniform equal-size ones.
@@ -469,7 +524,7 @@ def wasserstein_inf(
     (``combined_metric_parts`` passes the order-p plan), carries all mass at
     its longest L2 edge and so caps the search: when the climb reaches that
     edge, the witness is returned as the plan, and when the lower bound
-    already equals it, no threshold is probed at all.  The witness is used
+    already reaches it, no threshold is probed at all.  The witness is used
     only if its residuals pass ``check`` and its support rows and columns
     are exactly the live draws.  The distances are the L2 ones of the live
     block (zero-weight draws pruned), built here or passed in as ``block``.
@@ -478,11 +533,12 @@ def wasserstein_inf(
     ia, ib, sub = block.ia, block.ib, block.l2
     if block.uniform:
         probe = _max_matching
+        lam = max(sub.min(axis=1).max(), sub.min(axis=0).max())
     else:
         ua, ub = (_round_to_total(w, _FLOW_SCALE) for w in (block.wa, block.wb))
         probe = lambda mask: _max_flow(mask, ua, ub)
+        lam = _singleton_bound(sub, ua, ub)
     top = _witness_edge(witness, ia, ib, sub)
-    lam = max(sub.min(axis=1).max(), sub.min(axis=0).max())
     while top is None or lam < top:
         mask = sub <= lam
         flow, short = probe(mask)

@@ -622,26 +622,78 @@ def test_value_is_the_price_of_its_plan_at_time_zero():
         assert value == plan_cost(a, b, plan, s, p).w_p_bound
 
 
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of ``call()`` and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
 def test_solvers_allocate_nothing_of_the_full_layout():
     rng = np.random.default_rng(42)
 
-    def ensemble(n, live):
-        coeffs = 0.3 * (rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8)))
+    def ensemble(n, live, modes=8):
+        coeffs = 0.3 * (rng.standard_normal((n, modes)) + 1j * rng.standard_normal((n, modes)))
         w = np.zeros(n)
         w[rng.choice(n, size=live, replace=False)] = rng.random(live) + 0.1
         return WeightedEnsemble(coeffs, w / w.sum())
 
-    a, b = ensemble(4096, 40), ensemble(4096, 41)
-    for backend in ("exact", "entropic"):
-        tracemalloc.start()
-        try:
-            parts = combined_metric_parts(a, b, 0.25, 2.0, backend)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.05 * 4096 * 4096 * 8  # 5% of one dense float64 (n, m) array
-        assert parts.plan.shape == (4096, 4096) and parts.plan.check()
-        assert parts.inf_plan.shape == (4096, 4096) and parts.inf_plan.check()
+    dense = 0.05 * 4096 * 4096 * 8  # 5% of one dense float64 (n, m) array
+    padded = 4096 * 48 * 16  # one full ensemble zero-padded to 48 complex modes
+    cases = [
+        (ensemble(4096, 40), ensemble(4096, 41), dense),
+        (ensemble(4096, 40, modes=16), ensemble(4096, 40, modes=48), padded),
+    ]
+    for a, b, bound in cases:
+        for backend in ("exact", "entropic"):
+            peak, parts = traced_peak(lambda: combined_metric_parts(a, b, 0.25, 2.0, backend))
+            assert peak < bound
+            assert parts.plan.shape == (4096, 4096) and parts.plan.check()
+            assert parts.inf_plan.shape == (4096, 4096) and parts.inf_plan.check()
+
+
+@pytest.mark.parametrize("n", [300, 1024])
+def test_distance_kernel_holds_two_real_buffers_per_block(n):
+    # 300 rows make one block of 2^22 / (300 * 16) rows, 1024 rows make four
+    rng = np.random.default_rng(n)
+    xa, xb = (0.3 * (rng.standard_normal((n, 16)) + 1j * rng.standard_normal((n, 16)))
+              for _ in range(2))
+    peak, out = traced_peak(lambda: _distance_matrices(xa, xb, (0.25, 0.0)))
+    block = min(n, (1 << 22) // (n * 16)) * n * 16
+    assert peak - sum(d.nbytes for d in out) < 2.5 * 8 * block
+
+
+def complex_difference_distances(xa, xb, s):
+    """H^s distances from each row's complex difference, the arithmetic the kernel must keep."""
+    w = transport._hs_weights(xa.shape[1], s)
+    rows = []
+    for x in xa:
+        d = x - xb
+        rows.append(np.sqrt(np.sum(w * (d.real**2 + d.imag**2), axis=-1)))
+    return np.array(rows)
+
+
+def test_in_place_kernel_has_the_bits_of_the_complex_difference():
+    rng = np.random.default_rng(5)
+    # 1000 x 1024 x 16 takes four row blocks, the last one short
+    for n, m, k in [(1, 1, 1), (7, 5, 3), (40, 41, 48), (1000, 1024, 16)]:
+        xa = 0.3 * (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+        xb = 0.3 * (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k)))
+        xb[::3] = xa[rng.integers(0, n, xb[::3].shape[0])]  # ties, which must give exact zeros
+        exponents = (0.25, 0.0)
+        for got, s in zip(_distance_matrices(xa, xb, exponents), exponents):
+            want = complex_difference_distances(xa, xb, s)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.count_nonzero(got == 0.0) >= xb[::3].shape[0]
+        rows, cols = rng.integers(0, n, 500), rng.integers(0, m, 500)
+        got = transport._pair_distances(xa, xb, rows, cols, 0.25)
+        d = xa[rows] - xb[cols]
+        want = np.sqrt(np.sum(transport._hs_weights(k, 0.25) * (d.real**2 + d.imag**2), axis=-1))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # --- the bottleneck bracket ---------------------------------------------------
@@ -959,6 +1011,38 @@ def quantized_pair(seed, n, m, uniform):
     return make(n), make(m)
 
 
+def two_cluster_pair(seed, n=6, m=7):
+    """Two clusters holding halves of a's mass but 2/5 and 3/5 of b's.
+
+    Each draw fits inside its own cluster, so the singleton bound is an edge
+    within a cluster, while the first cluster's rows together lack a tenth of
+    the mass: the deficient cut spans several rows and the climb must jump.
+    """
+    rng = np.random.default_rng(seed)
+    centres = 0.5 * (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
+
+    def make(k, shares):
+        side = np.arange(k) % 2
+        noise = rng.standard_normal((k, 4)) + 1j * rng.standard_normal((k, 4))
+        coeffs = centres[side] + 0.05 * noise
+        w = rng.random(k) + 0.5
+        for c, share in enumerate(shares):
+            w[side == c] *= share / w[side == c].sum()
+        return WeightedEnsemble(coeffs, w)
+
+    return make(n, (0.5, 0.5)), make(m, (0.4, 0.6))
+
+
+def singleton_hall_bound(sub, ua, ub):
+    """The least threshold at which each single row's and column's units fit, edge by edge."""
+
+    def least(dist, supply, demand):
+        return max(min(lam for lam in d if demand[d <= lam].sum() >= u)
+                   for d, u in zip(dist, supply))
+
+    return max(least(sub, ua, ub), least(sub.T, ub, ua))
+
+
 def bottleneck_cases():
     """(a, b, witness) pairs over every search path; the witness is None or the W_p plan."""
     pairs = [sparse_pair(), light_draw_pair()]
@@ -973,6 +1057,7 @@ def bottleneck_cases():
               for k, n in ((2, 6), (1, 12), (0, 30))]
     pairs += [gibbs_pair(k, shifted=True) for k in range(2)]
     pairs += [gibbs_pair(k, shifted=False) for k in range(3)]
+    pairs += [two_cluster_pair(k) for k in range(3)]
     for a, b in pairs:
         yield a, b, None
         yield a, b, wasserstein_p_exact(a, b, 0.25, 2.0)[1]
@@ -1052,7 +1137,7 @@ def test_each_jump_lands_on_the_least_edge_leaving_the_min_cut(monkeypatch):
             monkeypatch.setattr(transport, name, spy)
         value, _ = wasserstein_inf(a, b)
         monkeypatch.undo()
-        assert seen[0] == max(sub.min(axis=1).max(), sub.min(axis=0).max())
+        assert seen[0] == singleton_hall_bound(sub, ua, ub)
         assert seen[-1] == value
         for lam, nxt in zip(seen, seen[1:]):
             assert nxt == reference_jump(sub, lam, ua, ub)
@@ -1064,7 +1149,7 @@ def test_a_cut_that_cannot_raise_the_threshold_stops_the_search(monkeypatch):
     none = np.array([], int)
     short = np.array([True, False])
     assert transport._cut_threshold(sub, sub <= 0.4, short, none, none) == np.inf
-    a, b = gibbs_pair(1, shifted=False)  # climbs above its lower bound
+    a, b = two_cluster_pair(0)  # climbs above its singleton bound
     for stuck in (lambda sub, mask, *flow: np.inf, lambda sub, mask, *flow: sub[mask].max()):
         monkeypatch.setattr(transport, "_cut_threshold", stuck)
         with pytest.raises(RuntimeError, match="bottleneck feasibility"):
