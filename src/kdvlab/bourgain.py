@@ -1,10 +1,12 @@
 """Discrete Bourgain-type space-time norms and inequality probes.
 
-Fields live on an N_x by N_t grid over torus x time-window [-L, L); their
+Fields live on an N_x by N_t grid over torus x time-window [-pi, pi); their
 space-time spectrum F_hat(k, tau) is weighted by powers of the distance
-<tau - k^3> = 1 + |tau - k^3| to the cubic dispersion surface.  With the
-default window L = pi the time axis is itself a torus and every integer
-frequency, in particular every k^3, sits exactly on a DFT bin.
+<tau - k^3> = 1 + |tau - k^3| to the cubic dispersion surface.  The window
+is fixed: with half-width pi the time axis is itself a torus and every
+integer frequency, in particular every k^3, sits exactly on a DFT bin.
+Free evolution sheets are built from the flow's exact linear group and the
+spectral grid evaluation.
 
 Continuous tau-integrals are replaced by sums over the window's DFT
 frequencies with uniform trapezoid weight; constants are normalised so the
@@ -22,7 +24,7 @@ import numpy as np
 
 from .flow import linear_flow_many
 from .rng import derive_seed, substream
-from .spectral import MODE_TO_EXP, TorusField
+from .spectral import TorusField, evaluate_many
 
 
 def _is_pow2(n: int) -> bool:
@@ -31,10 +33,9 @@ def _is_pow2(n: int) -> bool:
 
 @dataclass(frozen=True)
 class SpaceTimeField:
-    """Real samples u(x_i, t_j) on torus x window, x equispaced on [0, 2pi)."""
+    """Real samples u(x_i, t_j), x equispaced on [0, 2pi) and t on [-pi, pi)."""
 
     values: np.ndarray
-    half_width: float = math.pi
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -43,8 +44,6 @@ class SpaceTimeField:
         n_x, n_t = vals.shape
         if not (_is_pow2(n_x) and _is_pow2(n_t) and n_x >= 8 and n_t >= 8):
             raise ValueError("grid sizes must be powers of two, at least 8")
-        if not self.half_width > 0:
-            raise ValueError("window half-width must be positive")
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid values must be finite")
         col_means = vals.mean(axis=0)
@@ -63,12 +62,8 @@ class SpaceTimeField:
         return self.values.shape[1]
 
     @property
-    def x(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_x) / self.n_x
-
-    @property
     def t(self) -> np.ndarray:
-        return -self.half_width + 2.0 * self.half_width * np.arange(self.n_t) / self.n_t
+        return -math.pi + 2.0 * math.pi * np.arange(self.n_t) / self.n_t
 
     @property
     def k(self) -> np.ndarray:
@@ -76,22 +71,22 @@ class SpaceTimeField:
 
     @property
     def tau(self) -> np.ndarray:
-        dt = 2.0 * self.half_width / self.n_t
+        dt = 2.0 * math.pi / self.n_t
         return 2.0 * np.pi * np.fft.fftfreq(self.n_t, d=dt)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Coefficients G with u = sum G[k,m] e^{i k x} e^{i tau_m (t+L)}."""
+        """Coefficients G with u = sum G[k,m] e^{i k x} e^{i tau_m (t+pi)}."""
         return np.fft.fft2(self.values) / (self.n_x * self.n_t)
 
     def l2_norm(self) -> float:
         dx = 2.0 * np.pi / self.n_x
-        dt = 2.0 * self.half_width / self.n_t
+        dt = 2.0 * math.pi / self.n_t
         return float(np.sqrt(np.sum(self.values**2) * dx * dt))
 
     def l4_norm(self) -> float:
         dx = 2.0 * np.pi / self.n_x
-        dt = 2.0 * self.half_width / self.n_t
+        dt = 2.0 * math.pi / self.n_t
         return float(np.sum(self.values**4) * dx * dt) ** 0.25
 
 
@@ -114,7 +109,7 @@ def xsb_norm(field: SpaceTimeField, s: float, b: float) -> float:
     g2 = np.abs(field.spectrum) ** 2
     w = _spatial_weight(field, s) * _dispersion_weight(field) ** (2 * b)
     total = np.sum(w * g2)
-    return float(np.sqrt(2.0 * np.pi * (2.0 * field.half_width) * total))
+    return float(np.sqrt(2.0 * np.pi * (2.0 * math.pi) * total))
 
 
 def _l1_tau_term(field: SpaceTimeField, s: float, damped: bool) -> float:
@@ -139,20 +134,10 @@ def zs_norm(field: SpaceTimeField, s: float) -> float:
 # --- field constructors -----------------------------------------------------
 
 
-def traveling_wave(
-    u0: TorusField, n_x: int, n_t: int, half_width: float = math.pi
-) -> SpaceTimeField:
+def traveling_wave(u0: TorusField, n_x: int, n_t: int) -> SpaceTimeField:
     """The free evolution sheet (S(t) u0)(x): spectrum sits on tau = k^3."""
-    t = -half_width + 2.0 * half_width * np.arange(n_t) / n_t
-    m = u0.n_modes
-    if n_x < 2 * m + 1:
-        raise ValueError("spatial grid cannot resolve the initial data")
-    k = np.arange(1, m + 1, dtype=np.float64)
-    coeffs = u0.modes[None, :] * np.exp(1j * k[None, :] ** 3 * t[:, None])
-    spec = np.zeros((n_t, n_x // 2 + 1), dtype=np.complex128)
-    spec[:, 1 : m + 1] = coeffs * MODE_TO_EXP
-    vals = np.fft.irfft(spec, n_x, axis=1) * n_x
-    return SpaceTimeField(vals.T, half_width)
+    t = -math.pi + 2.0 * math.pi * np.arange(n_t) / n_t
+    return SpaceTimeField(evaluate_many(linear_flow_many(u0.modes, t[:, None]), n_x).T)
 
 
 def random_band_field(
@@ -162,7 +147,6 @@ def random_band_field(
     tau_band: int,
     n_x: int,
     n_t: int,
-    half_width: float = math.pi,
 ) -> SpaceTimeField:
     """Real random field with spectrum supported on 1 <= |k| <= k_band, |tau| <= tau_band.
 
@@ -173,13 +157,13 @@ def random_band_field(
         raise ValueError("band does not fit the requested grid")
     rng = substream(derive_seed(seed, 0xBA2D), trial)
     z = rng.standard_normal((k_band, 2 * tau_band + 1, 2)).view(np.complex128)[..., 0]
+    k = np.arange(1, k_band + 1)
+    m = np.arange(-tau_band, tau_band + 1)  # negative indices wrap
     full = np.zeros((n_x, n_t), dtype=np.complex128)
-    for row, k in enumerate(range(1, k_band + 1)):
-        for col, m in enumerate(range(-tau_band, tau_band + 1)):
-            full[k, m] = z[row, col]  # negative indices wrap
-            full[-k, -m] = np.conj(z[row, col])
+    full[np.ix_(k, m)] = z
+    full[np.ix_(-k, -m)] = np.conj(z)  # rows k and -k are disjoint, as 2 k_band < n_x
     vals = np.fft.ifft2(full) * (n_x * n_t)
-    return SpaceTimeField(np.real(vals), half_width)
+    return SpaceTimeField(np.real(vals))
 
 
 def smooth_bump(x) -> np.ndarray:
@@ -292,12 +276,12 @@ def bilinear_scaling_probe(
     The cutoff eta_T(t) = eta(t/T) localises the product near t = 0; the probe
     checks that the normalised ratio stays bounded as the window shrinks.
     """
-    if u.values.shape != v.values.shape or u.half_width != v.half_width:
+    if u.values.shape != v.values.shape:
         raise ValueError("probe inputs must share one grid")
     t_grid = np.asarray(list(t_grid), dtype=np.float64)
     if t_grid.size < 4 or np.any(t_grid <= 0) or np.any(t_grid > 1):
         raise ValueError("need at least four window widths inside (0, 1]")
-    if 2.0 * np.max(t_grid) >= u.half_width:
+    if 2.0 * np.max(t_grid) >= math.pi:
         raise ValueError("largest cutoff support must fit inside the window")
     y_us, y_u0 = ys_norm(u, s), ys_norm(u, 0.0)
     y_vs, y_v0 = ys_norm(v, s), ys_norm(v, 0.0)
@@ -311,7 +295,7 @@ def bilinear_scaling_probe(
     dens = np.empty(t_grid.size)
     for i, t_val in enumerate(t_grid):
         eta = smooth_bump(u.t / t_val)
-        windowed = SpaceTimeField(deriv * eta[None, :], u.half_width)
+        windowed = SpaceTimeField(deriv * eta[None, :])
         nums[i] = zs_norm(windowed, s)
         dens[i] = t_val ** (1.0 / 12.0) * (y_us * y_v0 + y_u0 * y_vs)
     return BilinearProbeResult(s=s, t_grid=t_grid, numerators=nums, denominators=dens)

@@ -261,7 +261,7 @@ def build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="integrate one initial state, write trajectory")
     p_solve.add_argument("--modes", type=_solver_modes, default=64)
     p_solve.add_argument("--dt", type=_finite_positive, default=None)
-    p_solve.add_argument("--t", type=_finite_float, required=True)
+    p_solve.add_argument("--t", type=_finite_positive, required=True)
     p_solve.add_argument("--init", type=_init_field, required=True)
     p_solve.add_argument("--samples", type=_positive_int, default=20)
     p_solve.add_argument("--no-dealias", action="store_true")

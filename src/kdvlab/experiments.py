@@ -1,10 +1,11 @@
 """Configuration-driven experiment pipelines with reproducible reports.
 
-Configs are flat ``key = value`` text files (see SCHEMA for the full key set
-and types).  Every pipeline returns an :class:`ExperimentReport` carrying a
-per-point series, a summary of fitted quantities, and provenance (config
-hash, seed, package versions); reports depend only on (config, seed), never
-on thread count or scheduling.
+Configs are flat ``key = value`` text files (README's "Experiment
+configuration" table lists every key with its type and default).  Every
+pipeline returns an :class:`ExperimentReport` carrying a per-point series, a
+summary of fitted quantities, and provenance (config hash, seed, package
+versions); reports depend only on (config, seed), never on thread count or
+scheduling.
 """
 
 from __future__ import annotations

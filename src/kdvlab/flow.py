@@ -186,17 +186,22 @@ def _ifrk4(chat: np.ndarray, n_steps: int, h: float, m: int, band: int, grid_n: 
     return chat
 
 
-def _to_state(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Mode amplitudes (batch, M) -> solver state (batch, m+1) of e^{ikx} coefficients."""
+def _fit_modes(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Mode amplitudes (batch, M) zero-padded or cut to m modes; cutting a nonzero mode raises."""
     src = np.atleast_2d(coeffs)
     if src.shape[-1] > m and np.any(src[..., m:] != 0):
         raise ValueError(
             f"initial data carries modes above the solver truncation {m}"
         )
-    chat = np.zeros(src.shape[:-1] + (m + 1,), dtype=np.complex128)
+    out = np.zeros(src.shape[:-1] + (m,), dtype=np.complex128)
     keep = min(src.shape[-1], m)
-    chat[..., 1 : keep + 1] = src[..., :keep] * MODE_TO_EXP
-    return chat
+    out[..., :keep] = src[..., :keep]
+    return out
+
+
+def _to_state(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Mode amplitudes (batch, M) -> solver state (batch, m+1) of e^{ikx} coefficients."""
+    return np.pad(_fit_modes(coeffs, m) * MODE_TO_EXP, ((0, 0), (1, 0)))
 
 
 def _evolve_state(
@@ -211,7 +216,7 @@ def _evolve_state(
     m = cfg.n_modes
     band = m if nl_band is None else nl_band
     if t == 0.0:
-        return _to_state(coeffs, m)[..., 1:] / MODE_TO_EXP
+        return _fit_modes(coeffs, m)
     amplitude = float(np.max(linf_norms_many(np.atleast_2d(coeffs))))
     dt = cfg.step_size(amplitude)
     cfg.check_step(dt, amplitude)

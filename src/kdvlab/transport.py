@@ -25,7 +25,9 @@ One private builder checks the marginals, gathers the live draws and
 weights, decides whether the marginals are uniform and equal-size, and
 fills the live H^s and L2 distances from one squared difference per row
 block, held with its weighted copy in two real buffers that every block
-reuses; plans are priced by the same kernel.  ``combined_metric_parts``
+reuses.  Plans are priced by the same kernel; each gathers the draws it
+needs before zero-padding them to the common mode count.
+``combined_metric_parts``
 builds that block once per pair and hands it to both solvers; a solver
 called alone builds its own.  A plan is stored as its support, in
 full-layout indices, so no solver allocates an (n, m) array.  The
@@ -106,9 +108,10 @@ def _plan_from(r, c, mass, ia, ib, a: WeightedEnsemble, b: WeightedEnsemble):
     return TransportPlan(rows, cols, mass, (a.n, b.n), *res), r, c
 
 
-def _common_modes(a: WeightedEnsemble, b: WeightedEnsemble):
+def _gathered(a: WeightedEnsemble, b: WeightedEnsemble, ia, ib):
+    """Rows ``ia`` of a and ``ib`` of b, those alone zero-padded to the common mode count."""
     m = max(a.n_modes, b.n_modes)
-    return a.padded(m).coeffs, b.padded(m).coeffs
+    return tuple(np.pad(e.coeffs[i], ((0, 0), (0, m - e.n_modes))) for e, i in ((a, ia), (b, ib)))
 
 
 def _hs_weights(n_modes: int, s: float) -> np.ndarray:
@@ -160,18 +163,21 @@ def _distance_matrices(xa: np.ndarray, xb: np.ndarray, exponents) -> list[np.nda
     return out
 
 
-def _pair_distances(xa, xb, rows, cols, s: float) -> np.ndarray:
-    """H^s distances |xa[rows[k]] - xb[cols[k]]| for the listed pairs, priced as the kernel does."""
-    k = xa.shape[1]
+def _pair_distances(a: WeightedEnsemble, b: WeightedEnsemble, rows, cols, s: float) -> np.ndarray:
+    """H^s distances |a_{rows[k]} - b_{cols[k]}| for the listed pairs, priced as the kernel does.
+
+    Each block gathers and pads only its own pairs' draws.
+    """
+    k = max(a.n_modes, b.n_modes)
     w = _hs_weights(k, s)
     out = np.empty(rows.size)
     block = max(1, (1 << 22) // max(1, k))
     sq, tmp = (np.empty((min(block, rows.size), k)) for _ in range(2))
     for start in range(0, rows.size, block):
-        r, c = rows[start : start + block], cols[start : start + block]
+        xa, xb = _gathered(a, b, rows[start : start + block], cols[start : start + block])
         _weighted_norms(
-            [out[start : start + r.size]], [w], xa.real[r], xa.imag[r], xb.real[c], xb.imag[c],
-            sq[: r.size], tmp[: r.size],
+            [out[start : start + xa.shape[0]]], [w], xa.real, xa.imag, xb.real, xb.imag,
+            sq[: xa.shape[0]], tmp[: xa.shape[0]],
         )
     return out
 
@@ -185,7 +191,7 @@ def cost_matrix(a: WeightedEnsemble, b: WeightedEnsemble, s: float, p: float) ->
     """
     if not p >= 1:
         raise ValueError("the transport order must satisfy p >= 1")
-    return _distance_matrices(*_common_modes(a, b), (s,))[0] ** p
+    return _distance_matrices(*_gathered(a, b, slice(None), slice(None)), (s,))[0] ** p
 
 
 @dataclass(frozen=True)
@@ -206,9 +212,7 @@ def _live_block(a: WeightedEnsemble, b: WeightedEnsemble, s: float) -> _LiveBloc
     if abs(a.weights.sum() - 1.0) > MARGINAL_TOL or abs(b.weights.sum() - 1.0) > MARGINAL_TOL:
         raise ValueError("infeasible marginals: ensemble weights must both sum to one")
     ia, ib = np.flatnonzero(a.weights > 0), np.flatnonzero(b.weights > 0)
-    m = max(a.n_modes, b.n_modes)
-    # the live rows alone are padded to the common mode count
-    xa, xb = (np.pad(e.coeffs[i], ((0, 0), (0, m - e.n_modes))) for e, i in ((a, ia), (b, ib)))
+    xa, xb = _gathered(a, b, ia, ib)
     both = np.concatenate([a.weights, b.weights])
     uniform = a.n == b.n and np.allclose(both, 1.0 / a.n, atol=1e-12, rtol=0.0)
     dist = _distance_matrices(xa, xb, (s, 0.0) if s != 0 else (0.0,))
@@ -639,9 +643,8 @@ def plan_cost(
     distance minimises over, so each bound dominates it by construction.
     """
     inf_plan = plan if inf_plan is None else inf_plan
-    xa, xb = _common_modes(a_t, b_t)
-    dist_hs = _pair_distances(xa, xb, plan.rows, plan.cols, s)
-    dist_l2 = _pair_distances(xa, xb, inf_plan.rows, inf_plan.cols, 0.0)
+    dist_hs = _pair_distances(a_t, b_t, plan.rows, plan.cols, s)
+    dist_l2 = _pair_distances(a_t, b_t, inf_plan.rows, inf_plan.cols, 0.0)
     w_p = float(np.sum(plan.mass * dist_hs**p)) ** (1.0 / p)
     w_inf = float(np.max(dist_l2)) if dist_l2.size else 0.0
     return PushforwardCost(w_p_bound=w_p, w_inf_bound=w_inf)
@@ -659,8 +662,7 @@ def write_plan_csv(
     corresponding entries of :func:`cost_matrix`; mass and cost are written
     as the shortest decimal that reads back to the same double.
     """
-    xa, xb = _common_modes(a, b)
-    cost = _pair_distances(xa, xb, plan.rows, plan.cols, s) ** p
+    cost = _pair_distances(a, b, plan.rows, plan.cols, s) ** p
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "mass", "cost"])

@@ -299,7 +299,7 @@ def test_c11_linear_invariance():
 
 def test_c12_bourgain_diagnostics():
     fld = random_band_field(3, 0, 4, 8, 32, 64)
-    doubled = SpaceTimeField(2.0 * np.asarray(fld.values), fld.half_width)
+    doubled = SpaceTimeField(2.0 * np.asarray(fld.values))
     homog = max(
         abs(xsb_norm(doubled, 0.3, 0.5) - 2.0 * xsb_norm(fld, 0.3, 0.5)),
         abs(ys_norm(doubled, 0.3) - 2.0 * ys_norm(fld, 0.3)),

@@ -12,9 +12,53 @@ from kdvlab.bourgain import (
     ys_norm,
     zs_norm,
 )
-from kdvlab.spectral import cosine_mode
+from kdvlab.rng import derive_seed, substream
+from kdvlab.spectral import MODE_TO_EXP, TorusField, cosine_mode
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
+def hand_traveling_wave(u0, n_x, n_t):
+    """The free sheet synthesised mode by mode on the window [-pi, pi), the reference."""
+    t = -np.pi + 2.0 * np.pi * np.arange(n_t) / n_t
+    m = u0.n_modes
+    k = np.arange(1, m + 1, dtype=np.float64)
+    coeffs = u0.modes[None, :] * np.exp(1j * k[None, :] ** 3 * t[:, None])
+    spec = np.zeros((n_t, n_x // 2 + 1), dtype=np.complex128)
+    spec[:, 1 : m + 1] = coeffs * MODE_TO_EXP
+    return (np.fft.irfft(spec, n_x, axis=1) * n_x).T
+
+
+def hand_band_field(seed, trial, k_band, tau_band, n_x, n_t):
+    """The band field's spectrum filled entry by entry, the reference."""
+    rng = substream(derive_seed(seed, 0xBA2D), trial)
+    z = rng.standard_normal((k_band, 2 * tau_band + 1, 2)).view(np.complex128)[..., 0]
+    full = np.zeros((n_x, n_t), dtype=np.complex128)
+    for row, k in enumerate(range(1, k_band + 1)):
+        for col, m in enumerate(range(-tau_band, tau_band + 1)):
+            full[k, m] = z[row, col]
+            full[-k, -m] = np.conj(z[row, col])
+    return np.real(np.fft.ifft2(full) * (n_x * n_t))
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("m, n_x, n_t", [(1, 8, 16), (5, 32, 8), (12, 64, 256), (31, 64, 64)])
+def test_traveling_wave_has_the_bits_of_the_hand_synthesis(m, n_x, n_t):
+    rng = np.random.default_rng(m)
+    u0 = TorusField(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    got = traveling_wave(u0, n_x, n_t).values
+    assert same_bits(got, hand_traveling_wave(u0, n_x, n_t))
+
+
+@pytest.mark.parametrize("seed, trial, k_band, tau_band, n_x, n_t", [
+    (3, 0, 4, 8, 32, 64), (1, 2, 1, 0, 8, 8), (5, 7, 7, 20, 16, 64), (2, 1, 3, 3, 64, 8),
+])
+def test_band_field_has_the_bits_of_the_hand_synthesis(seed, trial, k_band, tau_band, n_x, n_t):
+    got = random_band_field(seed, trial, k_band, tau_band, n_x, n_t).values
+    assert same_bits(got, hand_band_field(seed, trial, k_band, tau_band, n_x, n_t))
 
 
 def test_grid_validation():
@@ -58,7 +102,7 @@ def test_zero_field_norms():
 
 def test_absolute_homogeneity():
     fld = random_band_field(3, 0, 4, 8, 32, 64)
-    doubled = SpaceTimeField(2.0 * np.asarray(fld.values), fld.half_width)
+    doubled = SpaceTimeField(2.0 * np.asarray(fld.values))
     for s in (0.0, 0.4):
         assert abs(xsb_norm(doubled, s, 0.5) - 2.0 * xsb_norm(fld, s, 0.5)) <= 1e-12 * xsb_norm(doubled, s, 0.5)
         assert abs(ys_norm(doubled, s) - 2.0 * ys_norm(fld, s)) <= 1e-12 * ys_norm(doubled, s)

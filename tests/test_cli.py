@@ -128,6 +128,8 @@ def test_bad_argument_values_are_usage_errors(tmp_path, capsys):
         ("--init", solve + ["--init", "c1+"]),
         ("--modes", solve + ["--init", "c1", "--modes", "2"]),
         ("--dt", solve + ["--init", "c1", "--dt", "0"]),
+        ("--t", ["solve", "--init", "c1", "--t", "0", "--out", str(tmp_path / "s")]),
+        ("--t", ["solve", "--init", "c1", "--t", "-0.5", "--out", str(tmp_path / "s")]),
         ("--n", sample + ["--n", "0"]),
         ("--cutoff", sample + ["--n", "8", "--measure", "gibbs", "--cutoff", "-1"]),
         ("--coeff", gibbs + ["--coeff", "inf"]),

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,13 @@ time_grid = 0.2
 bootstrap_replicas = 12
 seed = 5
 """
+
+
+def test_readme_config_table_names_every_key_in_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Experiment configuration", 1)[1].split("\n## ", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert keys == [f.name for f in dataclasses.fields(ExperimentConfig)]
 
 
 def test_parse_defaults_and_overrides():
@@ -160,6 +169,17 @@ def test_stability_ratio_scales_with_delta():
     ratio = rep_half.summary["distance_to_reference"] / rep_full.summary["distance_to_reference"]
     assert 0.4 <= ratio <= 0.6
     assert rep_full.series[0]["t"] == 0.0 and rep_full.series[0]["distance"] == 0.0
+
+
+def test_a_zero_step_moves_no_draw():
+    base = (
+        "measure = gaussian\nmodes = 8\nensemble_size = 64\nsolver_modes = 24\n"
+        "time_grid = 0.0, 0.25\nseed = 3\n"
+    )
+    stability = run_stability(parse_config_text("experiment = stability\n" + base))
+    assert stability.series[1]["t"] == 0.0 and stability.series[1]["distance"] == 0.0
+    continuity = run_continuity(parse_config_text("experiment = continuity\n" + base))
+    assert continuity.series[1]["t"] == 0.0 and continuity.series[1]["ratio"] == 1.0
 
 
 def test_continuity_small_structure():

@@ -81,6 +81,20 @@ def test_evolve_identity_at_zero_time():
     assert evolve(u, 0.0, SolverConfig(n_modes=16)) is u
 
 
+def test_batch_flow_is_the_identity_at_zero_time():
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal((200, 16)) + 1j * rng.standard_normal((200, 16))
+    padded = np.pad(c, ((0, 0), (0, 8)))
+    for got, want in [
+        (evolve_many(c, 0.0, SolverConfig(n_modes=24)), padded),
+        (evolve_many(c, 0.0, SolverConfig(n_modes=16)), c),
+        (evolve_many(padded, 0.0, SolverConfig(n_modes=16)), c),  # zero modes are cut
+    ]:
+        assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+    with pytest.raises(ValueError):
+        evolve_many(c, 0.0, SolverConfig(n_modes=8))  # nonzero modes above the truncation
+
+
 def test_evolve_small_amplitude_matches_linear_flow():
     cfg = SolverConfig(n_modes=16, dt=1e-3)
     ratios = []

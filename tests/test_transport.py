@@ -14,6 +14,7 @@ from kdvlab.spectral import cosine_mode, sobolev_norm
 from kdvlab.transport import (
     _MASS_EPS,
     SinkhornConvergenceError,
+    TransportPlan,
     _distance_matrices,
     _live_block,
     _plan_from,
@@ -24,6 +25,7 @@ from kdvlab.transport import (
     wasserstein_inf,
     wasserstein_p_entropic,
     wasserstein_p_exact,
+    write_plan_csv,
 )
 
 
@@ -656,6 +658,24 @@ def test_solvers_allocate_nothing_of_the_full_layout():
             assert parts.inf_plan.shape == (4096, 4096) and parts.inf_plan.check()
 
 
+def test_plan_pricing_gathers_only_the_support(tmp_path):
+    # 40 pairs between 4096 draws of 16 modes and 4096 of 48: padding the
+    # 16-mode ensemble whole would take 4096 * 48 * 16 bytes, 3.1 MB
+    rng = np.random.default_rng(8)
+    a, b = (WeightedEnsemble(0.3 * (rng.standard_normal((4096, k)) + 1j * rng.standard_normal((4096, k))),
+                             np.full(4096, 1.0 / 4096)) for k in (16, 48))
+    rows, cols = np.sort(rng.choice(4096, 40, replace=False)), rng.choice(4096, 40, replace=False)
+    plan = TransportPlan(rows, cols, np.full(40, 1.0 / 40), (4096, 4096), 0.0, 0.0)
+    peak, cost = traced_peak(lambda: plan_cost(a, b, plan, 0.25, 2.0))
+    assert peak < 1e6
+    dist = dense_distances(a, b, 0.25)[rows, cols]
+    assert cost.w_p_bound == float(np.sum(plan.mass * dist**2.0)) ** 0.5
+    peak, _ = traced_peak(lambda: write_plan_csv(tmp_path / "plan.csv", plan, a, b, 0.25, 2.0))
+    assert peak < 1e6
+    written = np.loadtxt(tmp_path / "plan.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(written[:, 3], dist**2.0)
+
+
 @pytest.mark.parametrize("n", [300, 1024])
 def test_distance_kernel_holds_two_real_buffers_per_block(n):
     # 300 rows make one block of 2^22 / (300 * 16) rows, 1024 rows make four
@@ -690,7 +710,8 @@ def test_in_place_kernel_has_the_bits_of_the_complex_difference():
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
             assert np.count_nonzero(got == 0.0) >= xb[::3].shape[0]
         rows, cols = rng.integers(0, n, 500), rng.integers(0, m, 500)
-        got = transport._pair_distances(xa, xb, rows, cols, 0.25)
+        a, b = (WeightedEnsemble(x, np.full(len(x), 1.0 / len(x))) for x in (xa, xb))
+        got = transport._pair_distances(a, b, rows, cols, 0.25)
         d = xa[rows] - xb[cols]
         want = np.sqrt(np.sum(transport._hs_weights(k, 0.25) * (d.real**2 + d.imag**2), axis=-1))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -763,7 +784,7 @@ def test_witness_leaves_the_bottleneck_value_unchanged():
         assert value == wasserstein_inf(a, b)[0]
         assert plan.check()
         # the plan carries mass only on edges at or below the value
-        assert np.max(distances(*transport._common_modes(a, b), 0.0)[plan.rows, plan.cols]) <= value
+        assert np.max(dense_distances(a, b, 0.0)[plan.rows, plan.cols]) <= value
 
 
 def test_closed_bracket_costs_no_probe_and_no_confirming_lp(count_calls):
@@ -1083,7 +1104,7 @@ def test_cut_search_equals_the_bisection_it_replaced(count_calls):
         climbed += made > 1
         assert max(plan.row_residual, plan.col_residual) < 2.0**-30
         ia, ib = live(a, b)
-        edges = distances(*transport._common_modes(a, b), 0.0)[plan.rows, plan.cols]
+        edges = dense_distances(a, b, 0.0)[plan.rows, plan.cols]
         every_draw_holds_a_unit = all(
             np.all(transport._round_to_total(w, transport._FLOW_SCALE) > 0)
             for w in (a.weights[ia], b.weights[ib])
