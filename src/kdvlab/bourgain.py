@@ -186,7 +186,6 @@ def smooth_bump(x) -> np.ndarray:
 class L4ProbeResult:
     """Ratios of L4 norms to dispersion-weighted spectral sums."""
 
-    trials: int
     resolution: tuple[int, int]
     lhs: np.ndarray
     rhs: np.ndarray
@@ -235,7 +234,7 @@ def l4_inequality_probe(
         g2 = np.abs(fld.spectrum) ** 2
         w = _dispersion_weight(fld) ** (2.0 / 3.0)
         rhs[i] = float(np.sqrt(np.sum(w * g2)))
-    return L4ProbeResult(trials=trials, resolution=(n_x, n_t), lhs=lhs, rhs=rhs)
+    return L4ProbeResult(resolution=(n_x, n_t), lhs=lhs, rhs=rhs)
 
 
 @dataclass(frozen=True)

@@ -219,16 +219,9 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    overrides = {}
-    if args.name:
-        overrides["experiment"] = args.name
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.format:
-        overrides["format"] = args.format
-    cfg = load_config(args.config, **overrides)
+    flags = {"experiment": args.name, "seed": args.seed, "threads": args.threads,
+             "format": args.format}
+    cfg = load_config(args.config, **{k: v for k, v in flags.items() if v is not None})
     report = run_and_write(cfg, out_dir=args.out)
     print(json.dumps({"experiment": report.name, "summary": report.summary}, sort_keys=True))
     return EXIT_OK
@@ -333,12 +326,7 @@ def cli_entry(argv) -> int:
 
 
 def main() -> None:
-    # SystemExit(2) from argparse --help paths is left untouched
-    try:
-        code = cli_entry(sys.argv[1:])
-    except SystemExit:
-        raise
-    sys.exit(code)
+    sys.exit(cli_entry(sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -71,8 +71,6 @@ class ExperimentConfig:
     # flow
     solver_modes: int = 48
     dt: float | None = None
-    dealias: bool = True
-    cfl_constant: float = 2.0
     time_grid: tuple[float, ...] = (0.25, 0.5, 1.0)
     horizon: float = 4.0
     # perturbation family
@@ -84,7 +82,6 @@ class ExperimentConfig:
     sigma: float = 0.45
     # tails
     tail_functionals: tuple[str, ...] = ("linf", "l2", "hs")
-    tail_grid_points: int = 12
     # statistics
     bootstrap_replicas: int = 200
     backend: str = "exact"
@@ -107,8 +104,10 @@ class ExperimentConfig:
             raise ConfigError("galerkin needs 0 <= s < sigma")
         if not all(math.isfinite(t) for t in self.time_grid):
             raise ConfigError("time grid entries must be finite")
-        if self.dt is not None and not 0 < self.dt < math.inf:
-            raise ConfigError("dt must be finite and positive")
+        try:
+            self.solver()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if any(abs(t) > self.horizon for t in self.time_grid):
             raise ConfigError("time grid exceeds the configured horizon")
         if any(t2 <= t1 for t1, t2 in zip(self.time_grid, self.time_grid[1:])):
@@ -125,6 +124,12 @@ class ExperimentConfig:
             raise ConfigError("perturbation_mode must be >= 1")
         if self.ensemble_size < 1 or self.modes < 1:
             raise ConfigError("ensemble size and modes must be positive")
+        evolves = self.experiment not in ("tails", "invariance_linear")
+        if evolves and self.modes > self.solver_modes:
+            raise ConfigError(f"{self.experiment} evolves its draws: modes must be <= solver_modes")
+        shifts = self.experiment in ("continuity", "stability") and self.perturbation == "mode_shift"
+        if shifts and self.perturbation_mode > self.solver_modes:
+            raise ConfigError("the shifted perturbation_mode must be <= solver_modes")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.format not in ("csv", "json"):
@@ -149,12 +154,7 @@ class ExperimentConfig:
             raise ConfigError("tails needs a nonempty list of tail functionals")
 
     def solver(self) -> SolverConfig:
-        return SolverConfig(
-            n_modes=self.solver_modes,
-            dt=self.dt,
-            dealias=self.dealias,
-            cfl_constant=self.cfl_constant,
-        )
+        return SolverConfig(n_modes=self.solver_modes, dt=self.dt)
 
     def gaussian_spec(self, seed: int | None = None) -> GaussianSpec:
         return GaussianSpec(n_modes=self.modes, seed=self.seed if seed is None else seed)
@@ -268,7 +268,6 @@ class ExperimentReport:
 
 
 def _provenance(cfg: ExperimentConfig) -> dict:
-    import numpy
     import scipy
 
     from . import __version__
@@ -277,7 +276,7 @@ def _provenance(cfg: ExperimentConfig) -> dict:
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
         "kdvlab_version": __version__,
-        "numpy_version": numpy.__version__,
+        "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
     }
 
@@ -301,7 +300,6 @@ def write_report(report: ExperimentReport, out_dir, fmt: str = "csv") -> None:
         return
     with open(os.path.join(out_dir, "series.csv"), "w", newline="") as fh:
         if not report.series:
-            fh.write("")
             return
         writer = csv.DictWriter(fh, fieldnames=list(report.series[0].keys()))
         writer.writeheader()
@@ -383,18 +381,19 @@ def run_continuity(cfg: ExperimentConfig) -> ExperimentReport:
     r1 = (ra["l2_sup"] + rb["l2_sup"]) ** 12
     r2 = ra["hs_moment"] + rb["hs_moment"]
 
-    series = [
-        {
-            "t": 0.0,
-            "w_inf": d0.w_inf,
-            "w_p": d0.w_p,
-            "combined": d0.total,
-            "bound_w_inf": d0.w_inf,
-            "bound_w_p": d0.w_p,
-            "bound_combined": d0.total,
-            "ratio": 1.0,
+    def series_row(t: float, parts, w_inf_bound: float, w_p_bound: float) -> dict:
+        return {
+            "t": t,
+            "w_inf": parts.w_inf,
+            "w_p": parts.w_p,
+            "combined": parts.total,
+            "bound_w_inf": w_inf_bound,
+            "bound_w_p": w_p_bound,
+            "bound_combined": w_inf_bound + w_p_bound,
+            "ratio": parts.total / d0.total,
         }
-    ]
+
+    series = [series_row(0.0, d0, d0.w_inf, d0.w_p)]
     mu_t, nu_t = mu, nu
     t_prev = 0.0
     for t in cfg.time_grid:
@@ -402,24 +401,11 @@ def run_continuity(cfg: ExperimentConfig) -> ExperimentReport:
         t_prev = t
         dt_parts = combined_metric_parts(mu_t, nu_t, cfg.s, cfg.p, cfg.backend, cfg.epsilon)
         bound = plan_cost(mu_t, nu_t, d0.plan, cfg.s, cfg.p, d0.inf_plan)
-        series.append(
-            {
-                "t": t,
-                "w_inf": dt_parts.w_inf,
-                "w_p": dt_parts.w_p,
-                "combined": dt_parts.total,
-                "bound_w_inf": bound.w_inf_bound,
-                "bound_w_p": bound.w_p_bound,
-                "bound_combined": bound.combined_bound,
-                "ratio": dt_parts.total / d0.total,
-            }
-        )
+        series.append(series_row(t, dt_parts, bound.w_inf_bound, bound.w_p_bound))
     ts = np.array([row["t"] for row in series[1:]])
     ratios = np.array([row["ratio"] for row in series[1:]])
     fit = weighted_linear_fit(np.abs(ts), np.log(ratios))
-    bound_ok = all(
-        row["bound_combined"] >= row["combined"] - 1e-12 for row in series
-    )
+    bound_ok = all(row["bound_combined"] >= row["combined"] - 1e-12 for row in series)
     summary = {
         "base_distance": d0.total,
         "base_w_inf": d0.w_inf,
@@ -608,6 +594,9 @@ def run_galerkin(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport("galerkin", series, summary, _provenance(cfg))
 
 
+_TAIL_GRID_POINTS = 12  # survival targets per functional
+
+
 def run_tails(cfg: ExperimentConfig) -> ExperimentReport:
     """Gaussian tail-decay fits for the configured norm functionals."""
     ens = sample_gaussian(cfg.gaussian_spec(), cfg.ensemble_size)
@@ -616,7 +605,7 @@ def run_tails(cfg: ExperimentConfig) -> ExperimentReport:
     for functional in cfg.tail_functionals:
         values = _functional_values(ens, functional, cfg.s)
         # survival targets spaced between 0.45 and ~2e-3 pick the usable range
-        targets = np.exp(np.linspace(math.log(0.45), math.log(2e-3), cfg.tail_grid_points))
+        targets = np.exp(np.linspace(math.log(0.45), math.log(2e-3), _TAIL_GRID_POINTS))
         radii = np.quantile(values, 1.0 - targets)
         fit = tail_fit(ens, functional, radii, s=cfg.s if functional == "hs" else None)
         for r_val, surv, used in zip(fit.radii, fit.survival, fit.used):

@@ -47,6 +47,10 @@ class SolverConfig:
     ``dt=None`` selects the amplitude-aware default
     min(1e-3, 0.5 / (n_modes * (1 + |u0|_inf))); an explicit dt is accepted
     as long as it stays below cfl_constant / (n_modes * (1 + |u0|_inf)).
+    Experiment configs set only ``n_modes`` and ``dt`` (their
+    ``solver_modes`` and ``dt`` keys) and report a ``ValueError`` from these
+    checks as a config error; ``dealias`` is off only under
+    ``solve --no-dealias``.
     """
 
     n_modes: int = 64
@@ -58,7 +62,7 @@ class SolverConfig:
         if self.n_modes < 4:
             raise ValueError("solver needs at least 4 modes")
         if self.dt is not None and not 0 < self.dt < math.inf:
-            raise ValueError("time step must be finite and positive")
+            raise ValueError("dt must be finite and positive")
         if not self.cfl_constant > 0:
             raise ValueError("cfl_constant must be positive")
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow, spectral
+from .fitting import weighted_linear_fit
 from .rng import derive_seed, substream, substreams
 from .spectral import BASIS_TO_MODE, TorusField
 
@@ -114,9 +115,7 @@ class WeightedEnsemble:
             raise ValueError("cannot pad to fewer modes")
         if m == self.n_modes:
             return self
-        out = np.zeros((self.n, m), dtype=np.complex128)
-        out[:, : self.n_modes] = self.coeffs
-        return self.replace(coeffs=out)
+        return self.replace(coeffs=np.pad(self.coeffs, ((0, 0), (0, m - self.n_modes))))
 
     def replace(self, coeffs=None, weights=None) -> "WeightedEnsemble":
         return WeightedEnsemble(
@@ -206,28 +205,26 @@ def sample_gibbs(spec: GibbsSpec, n: int, resample: bool = False) -> tuple[Weigh
 def pushforward_many(ensembles, t: float, cfg: flow.SolverConfig) -> list[WeightedEnsemble]:
     """Push several ensembles through one discrete flow map; weights are carried along.
 
-    The positive-weight draws of all ensembles are evolved in one batch, so
-    they share one step size: the one the largest live amplitude of them all
-    sets.  Where each ensemble alone would get that same step (the 1e-3 cap
-    binds for all of them), every result equals :func:`pushforward` of that
-    ensemble bit for bit; where the amplitudes differ past the cap, every
-    ensemble takes the one smaller step.  Zero-weight draws are not evolved
-    (they carry no mass), which keeps the cost proportional to the effective
-    support.  The ensembles must share one number of modes.
+    Each ensemble is first fitted to the solver's modes by the flow's own
+    rule (zero-padded; cutting a nonzero mode raises), so the ensembles may
+    carry different numbers of modes.  The positive-weight draws of all of
+    them are then evolved in one batch, so they share one step size: the one
+    the largest amplitude of the fitted live draws sets.  Where each ensemble alone
+    would get that same step (the 1e-3 cap binds for all of them), every
+    result equals :func:`pushforward` of that ensemble bit for bit; where
+    the amplitudes differ past the cap, every ensemble takes the one smaller
+    step.  Zero-weight draws are not evolved (they carry no mass), which
+    keeps the cost proportional to the effective support.
     """
+    fitted = [flow._fit_modes(ens.coeffs, cfg.n_modes) for ens in ensembles]
     lives = [ens.weights > 0 for ens in ensembles]
     evolved = flow.evolve_many(
-        np.concatenate([ens.coeffs[live] for ens, live in zip(ensembles, lives)]), t, cfg
+        np.concatenate([coeffs[live] for coeffs, live in zip(fitted, lives)]), t, cfg
     )
     ends = np.cumsum([np.count_nonzero(live) for live in lives])[:-1]
-    keep = min(ensembles[0].n_modes, cfg.n_modes)
-    out = []
-    for ens, live, rows in zip(ensembles, lives, np.split(evolved, ends)):
-        coeffs = np.zeros((ens.n, cfg.n_modes), dtype=np.complex128)
+    for coeffs, live, rows in zip(fitted, lives, np.split(evolved, ends)):
         coeffs[live] = rows
-        coeffs[~live, :keep] = ens.coeffs[~live, :keep]
-        out.append(ens.replace(coeffs=coeffs))
-    return out
+    return [ens.replace(coeffs=coeffs) for ens, coeffs in zip(ensembles, fitted)]
 
 
 def pushforward(ens: WeightedEnsemble, t: float, cfg: flow.SolverConfig) -> WeightedEnsemble:
@@ -291,8 +288,6 @@ def tail_fit(
     x = radii[used] ** 2
     y = np.log(survival[used])
     w = survival[used] * ens.effective_sample_size()
-    from .fitting import weighted_linear_fit
-
     fit = weighted_linear_fit(x, y, w)
     return TailFit(
         functional=functional,
@@ -341,8 +336,6 @@ def f_convergence_probe(spec: GibbsSpec, projections, n: int) -> FConvergenceRes
     pair_ses = deltas.std(axis=1, ddof=1) / math.sqrt(n)
     positive = estimates > 0
     if positive.sum() >= 2:
-        from .fitting import weighted_linear_fit
-
         fit = weighted_linear_fit(np.log(projections[positive]), np.log(estimates[positive]))
         slope = fit.slope
     else:

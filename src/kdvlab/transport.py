@@ -619,10 +619,6 @@ class PushforwardCost:
     w_p_bound: float
     w_inf_bound: float
 
-    @property
-    def combined_bound(self) -> float:
-        return self.w_inf_bound + self.w_p_bound
-
 
 def plan_cost(
     a_t: WeightedEnsemble,

@@ -254,6 +254,11 @@ def test_vanishing_perturbation_is_a_config_error(tmp_path, capsys, experiment):
                  "projection_grid", id="zero-band-galerkin"),
     pytest.param("experiment = tails\nmeasure = gaussian\ntail_functionals =\n",
                  "tail functionals", id="empty-tail-functionals"),
+    pytest.param("experiment = continuity\nsolver_modes = 3\n", "solver", id="three-solver-modes"),
+    pytest.param("experiment = invariance_nonlinear\nmodes = 20\n", "modes",
+                 id="modes-above-solver-modes"),
+    pytest.param("experiment = stability\nperturbation_mode = 20\n", "perturbation_mode",
+                 id="shift-above-solver-modes"),
 ])
 def test_configs_no_run_can_use_are_rejected_before_sampling(tmp_path, capsys, count_calls, text, word):
     from kdvlab.measures import _gaussian_coeffs
@@ -269,6 +274,19 @@ def test_configs_no_run_can_use_are_rejected_before_sampling(tmp_path, capsys, c
     payload = json.loads(line)
     assert payload["error"] == "config" and word in payload["message"], payload
     assert draws == [] and not out.exists()
+
+
+def test_continuity_evolves_a_pair_with_different_mode_counts(tmp_path, capsys):
+    # the draws carry 8 modes, their shift by mode 12 carries 12, the solver 16
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = continuity\nmodes = 8\nperturbation_mode = 12\n"
+                   "solver_modes = 16\nensemble_size = 32\ntime_grid = 0.01, 0.02\n")
+    out = tmp_path / "run"
+    assert cli_entry(["experiment", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["summary"]["bound_dominates"] is True
+    assert (out / "report.json").exists() and (out / "base.kdve").exists()
 
 
 def test_projection_and_init_above_the_truncation_are_usage_errors(tmp_path, capsys):

@@ -253,12 +253,20 @@ def test_pushforward_many_steps_every_ensemble_with_the_smaller_step():
     assert _same_ensemble(joint[0], pushforward(calm, 0.01, at_wild_step))
 
 
-def test_pushforward_many_needs_one_number_of_modes():
+def test_pushforward_many_fits_each_ensemble_to_the_solver_modes():
     cfg = SolverConfig(n_modes=16)
-    a = WeightedEnsemble(np.full((2, 8), 0.1), [0.5, 0.5])
-    b = WeightedEnsemble(np.full((2, 6), 0.1), [0.5, 0.5])
-    with pytest.raises(ValueError):
-        pushforward_many([a, b], 0.01, cfg)
+    mu, _ = sample_gibbs(GibbsSpec(GaussianSpec(n_modes=8, seed=11)), 64)
+    nu, _ = sample_gibbs(GibbsSpec(GaussianSpec(n_modes=12, seed=12)), 96)
+    padded = [e.padded(16) for e in (mu, nu)]
+    assert all(np.any(e.weights == 0) for e in padded)
+    # the 1e-3 cap binds for both, so the joint batch keeps each one's step
+    amps = [np.max(linf_norms_many(e.coeffs[e.weights > 0])) for e in padded]
+    assert all(cfg.step_size(a) == 1e-3 for a in amps)
+    joint = pushforward_many([mu, nu], 0.03, cfg)
+    for got, ens in zip(joint, padded, strict=True):
+        want = pushforward(ens, 0.03, cfg)
+        assert np.array_equal(got.coeffs.view(np.float64), want.coeffs.view(np.float64))
+        assert np.array_equal(got.weights, want.weights) and got.resampled == want.resampled
 
 
 def test_weighted_ensemble_rejects_non_finite_coefficients():
