@@ -32,7 +32,7 @@ from .measures import (
     sample_gaussian,
     sample_gibbs,
 )
-from .spectral import cosine_mode, linf_norm, sine_mode, zero_field
+from .spectral import cosine_mode, fit_modes, linf_norm, sine_mode, zero_field
 from .transport import (
     SinkhornConvergenceError,
     combined_metric_parts,
@@ -142,7 +142,9 @@ _init_field = _usage_type(parse_init)
 
 
 def _cmd_solve(args) -> int:
-    if np.any(args.init.modes[args.modes :] != 0):
+    try:
+        fit_modes(args.init.modes, args.modes)
+    except ValueError:
         return _fail(
             "usage",
             f"argument --init: carries modes above the solver truncation --modes {args.modes}",

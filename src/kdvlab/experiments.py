@@ -25,11 +25,11 @@ from .fitting import bootstrap_weighted_mean, weighted_linear_fit
 from .flow import SolverConfig, evolve, evolve_projected
 from .kdve_io import write_ensemble
 from .measures import (
-    _FUNCTIONALS,
+    FUNCTIONALS,
     GaussianSpec,
     GibbsSpec,
     WeightedEnsemble,
-    _functional_values,
+    functional_values,
     pushforward,
     pushforward_linear,
     pushforward_many,
@@ -47,6 +47,7 @@ class ConfigError(ValueError):
 
 
 PERTURBATIONS = ("mode_shift", "rescale", "resample")
+HORIZON = 4.0  # largest admissible |t| in a time grid
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,6 @@ class ExperimentConfig:
     solver_modes: int = 48
     dt: float | None = None
     time_grid: tuple[float, ...] = (0.25, 0.5, 1.0)
-    horizon: float = 4.0
     # perturbation family
     perturbation: str = "mode_shift"
     perturbation_mode: int = 3
@@ -108,8 +108,8 @@ class ExperimentConfig:
             self.solver()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if any(abs(t) > self.horizon for t in self.time_grid):
-            raise ConfigError("time grid exceeds the configured horizon")
+        if any(abs(t) > HORIZON for t in self.time_grid):
+            raise ConfigError(f"time grid exceeds the horizon {HORIZON}")
         if any(t2 <= t1 for t1, t2 in zip(self.time_grid, self.time_grid[1:])):
             raise ConfigError("time grid must be strictly increasing")
         if self.experiment != "tails" and not self.time_grid:
@@ -147,9 +147,9 @@ class ExperimentConfig:
         bands = self.projection_grid
         if self.experiment == "galerkin" and not 1 <= min(bands) <= max(bands) <= self.solver_modes:
             raise ConfigError("projection_grid bands must lie in 1..solver_modes")
-        unknown = sorted(set(self.tail_functionals) - set(_FUNCTIONALS))
+        unknown = sorted(set(self.tail_functionals) - set(FUNCTIONALS))
         if self.experiment == "tails" and unknown:
-            raise ConfigError(f"unknown tail functionals {unknown}; expected any of {_FUNCTIONALS}")
+            raise ConfigError(f"unknown tail functionals {unknown}; expected any of {FUNCTIONALS}")
         if self.experiment == "tails" and not self.tail_functionals:
             raise ConfigError("tails needs a nonempty list of tail functionals")
 
@@ -603,7 +603,7 @@ def run_tails(cfg: ExperimentConfig) -> ExperimentReport:
     series = []
     summary = {}
     for functional in cfg.tail_functionals:
-        values = _functional_values(ens, functional, cfg.s)
+        values = functional_values(ens, functional, cfg.s)
         # survival targets spaced between 0.45 and ~2e-3 pick the usable range
         targets = np.exp(np.linspace(math.log(0.45), math.log(2e-3), _TAIL_GRID_POINTS))
         radii = np.quantile(values, 1.0 - targets)

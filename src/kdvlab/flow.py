@@ -7,10 +7,11 @@ applied exactly each step and only the quadratic term is integrated
 numerically, evaluated pseudospectrally on a zero-padded grid of at least
 3M+1 points (the least 2^a, 3 * 2^a or 5 * 2^a, see ``_grid_size``) so the
 product is alias-free.  Every evolution (single field, projected, batch)
-goes through one stepper that steps the whole batch in buffers allocated
-once per call.  Its transforms call numpy's pocketfft gufuncs directly, as
-``np.fft.irfft`` and ``np.fft.rfft`` call them, so a step pays no wrapper
-checks; the results are the same bits.
+fits its input to the solver's modes once (``spectral.fit_modes``), so zero
+padding never changes its step, and goes through one stepper that steps
+the whole batch in buffers allocated once per call.  Its transforms call
+numpy's pocketfft gufuncs directly, as ``np.fft.irfft`` and ``np.fft.rfft``
+call them, so a step pays no wrapper checks; the results are the same bits.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from numpy.fft._pocketfft_umath import rfft_n_odd as _rfft_n_odd
 from .spectral import (
     MODE_TO_EXP,
     TorusField,
+    fit_modes,
     hamiltonian,
     linf_norms_many,
     sobolev_norm,
@@ -45,11 +47,11 @@ class SolverConfig:
     """Discretisation parameters for the nonlinear integrator.
 
     ``dt=None`` selects the amplitude-aware default
-    min(1e-3, 0.5 / (n_modes * (1 + |u0|_inf))); an explicit dt is accepted
-    as long as it stays below cfl_constant / (n_modes * (1 + |u0|_inf)).
+    min(1e-3, 0.5 / (n_modes * (1 + |u0|_inf))); any step is accepted as
+    long as it stays below cfl_constant / (n_modes * (1 + |u0|_inf)).
     Experiment configs set only ``n_modes`` and ``dt`` (their
-    ``solver_modes`` and ``dt`` keys) and report a ``ValueError`` from these
-    checks as a config error; ``dealias`` is off only under
+    ``solver_modes`` and ``dt`` keys) and report a ``ValueError`` from the
+    constructor's checks as a config error; ``dealias`` is off only under
     ``solve --no-dealias``.
     """
 
@@ -67,18 +69,15 @@ class SolverConfig:
             raise ValueError("cfl_constant must be positive")
 
     def step_size(self, amplitude: float) -> float:
-        """Target step for a state of the given sup-norm amplitude."""
-        if self.dt is not None:
-            return self.dt
-        return min(1e-3, 0.5 / (self.n_modes * (1.0 + amplitude)))
-
-    def check_step(self, dt: float, amplitude: float) -> None:
+        """Step for a state of the given sup-norm amplitude; past the stability limit it raises."""
+        dt = min(1e-3, 0.5 / (self.n_modes * (1.0 + amplitude))) if self.dt is None else self.dt
         limit = self.cfl_constant / (self.n_modes * (1.0 + amplitude))
         if dt > limit:
             raise ValueError(
                 f"dt={dt:g} exceeds stability limit {limit:g} "
                 f"(n_modes={self.n_modes}, amplitude={amplitude:g})"
             )
+        return dt
 
 
 def linear_flow(u: TorusField, t: float) -> TorusField:
@@ -190,22 +189,9 @@ def _ifrk4(chat: np.ndarray, n_steps: int, h: float, m: int, band: int, grid_n: 
     return chat
 
 
-def _fit_modes(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Mode amplitudes (batch, M) zero-padded or cut to m modes; cutting a nonzero mode raises."""
-    src = np.atleast_2d(coeffs)
-    if src.shape[-1] > m and np.any(src[..., m:] != 0):
-        raise ValueError(
-            f"initial data carries modes above the solver truncation {m}"
-        )
-    out = np.zeros(src.shape[:-1] + (m,), dtype=np.complex128)
-    keep = min(src.shape[-1], m)
-    out[..., :keep] = src[..., :keep]
-    return out
-
-
-def _to_state(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Mode amplitudes (batch, M) -> solver state (batch, m+1) of e^{ikx} coefficients."""
-    return np.pad(_fit_modes(coeffs, m) * MODE_TO_EXP, ((0, 0), (1, 0)))
+def _to_state(coeffs: np.ndarray) -> np.ndarray:
+    """Mode amplitudes (batch, m) -> solver state (batch, m+1) of e^{ikx} coefficients."""
+    return np.pad(coeffs * MODE_TO_EXP, ((0, 0), (1, 0)))
 
 
 def _evolve_state(
@@ -213,28 +199,26 @@ def _evolve_state(
 ) -> np.ndarray:
     """The one evolution path; coeffs are mode amplitudes (batch, M).
 
-    The whole batch is stepped at once with the step size its largest
-    amplitude sets; a divergence reports the earliest step at which any row
-    stops being finite.
+    The rows are fitted to the solver's m modes once, and are the result at
+    t = 0.  The whole batch is stepped at once with the step size the largest
+    fitted amplitude sets; a divergence reports the earliest step at which
+    any row stops being finite.
     """
     m = cfg.n_modes
     band = m if nl_band is None else nl_band
+    fitted = fit_modes(coeffs, m)
     if t == 0.0:
-        return _fit_modes(coeffs, m)
-    amplitude = float(np.max(linf_norms_many(np.atleast_2d(coeffs))))
-    dt = cfg.step_size(amplitude)
-    cfg.check_step(dt, amplitude)
+        return fitted
+    dt = cfg.step_size(float(np.max(linf_norms_many(fitted))))
     n_steps = max(1, math.ceil(abs(t) / dt))
-    chat = _ifrk4(_to_state(coeffs, m), n_steps, t / n_steps, m, band, _grid_size(m, cfg.dealias))
+    chat = _ifrk4(_to_state(fitted), n_steps, t / n_steps, m, band, _grid_size(m, cfg.dealias))
     return chat[..., 1:] / MODE_TO_EXP
 
 
 def evolve(u0: TorusField, t: float, cfg: SolverConfig) -> TorusField:
-    """Approximate the nonlinear flow at time t (negative t runs backwards)."""
-    if t == 0.0:
-        return u0
-    out = _evolve_state(u0.modes[None, :], t, cfg)
-    return TorusField(out[0])
+    """Approximate the nonlinear flow at time t (negative t runs backwards); u0 itself at t = 0."""
+    out = _evolve_state(u0.modes, t, cfg)
+    return u0 if t == 0.0 else TorusField(out[0])
 
 
 def evolve_projected(u0: TorusField, t: float, n_band: int, cfg: SolverConfig) -> TorusField:
@@ -248,10 +232,8 @@ def evolve_projected(u0: TorusField, t: float, n_band: int, cfg: SolverConfig) -
         raise ValueError("projection band exceeds the solver truncation")
     if n_band < 0:
         raise ValueError("projection band must be >= 0")
-    if t == 0.0:
-        return u0
-    out = _evolve_state(u0.modes[None, :], t, cfg, nl_band=n_band)
-    return TorusField(out[0])
+    out = _evolve_state(u0.modes, t, cfg, nl_band=n_band)
+    return u0 if t == 0.0 else TorusField(out[0])
 
 
 def evolve_many(coeffs: np.ndarray, t: float, cfg: SolverConfig) -> np.ndarray:

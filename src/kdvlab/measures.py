@@ -19,7 +19,7 @@ import numpy as np
 from . import flow, spectral
 from .fitting import weighted_linear_fit
 from .rng import derive_seed, substream, substreams
-from .spectral import BASIS_TO_MODE, TorusField
+from .spectral import BASIS_TO_MODE, TorusField, fit_modes
 
 
 class DegenerateEnsembleError(RuntimeError):
@@ -111,11 +111,7 @@ class WeightedEnsemble:
         return spectral.sobolev_norms_many(self.coeffs, s)
 
     def padded(self, m: int) -> "WeightedEnsemble":
-        if m < self.n_modes:
-            raise ValueError("cannot pad to fewer modes")
-        if m == self.n_modes:
-            return self
-        return self.replace(coeffs=np.pad(self.coeffs, ((0, 0), (0, m - self.n_modes))))
+        return self.replace(coeffs=fit_modes(self.coeffs, m))
 
     def replace(self, coeffs=None, weights=None) -> "WeightedEnsemble":
         return WeightedEnsemble(
@@ -205,18 +201,19 @@ def sample_gibbs(spec: GibbsSpec, n: int, resample: bool = False) -> tuple[Weigh
 def pushforward_many(ensembles, t: float, cfg: flow.SolverConfig) -> list[WeightedEnsemble]:
     """Push several ensembles through one discrete flow map; weights are carried along.
 
-    Each ensemble is first fitted to the solver's modes by the flow's own
-    rule (zero-padded; cutting a nonzero mode raises), so the ensembles may
+    Each ensemble is first fitted to the solver's modes by
+    :func:`~kdvlab.spectral.fit_modes` (zero-padded; cutting a nonzero mode
+    raises), the rule the flow applies to its input, so the ensembles may
     carry different numbers of modes.  The positive-weight draws of all of
     them are then evolved in one batch, so they share one step size: the one
-    the largest amplitude of the fitted live draws sets.  Where each ensemble alone
+    the largest amplitude of the live draws sets.  Where each ensemble alone
     would get that same step (the 1e-3 cap binds for all of them), every
     result equals :func:`pushforward` of that ensemble bit for bit; where
     the amplitudes differ past the cap, every ensemble takes the one smaller
     step.  Zero-weight draws are not evolved (they carry no mass), which
     keeps the cost proportional to the effective support.
     """
-    fitted = [flow._fit_modes(ens.coeffs, cfg.n_modes) for ens in ensembles]
+    fitted = [fit_modes(ens.coeffs, cfg.n_modes) for ens in ensembles]
     lives = [ens.weights > 0 for ens in ensembles]
     evolved = flow.evolve_many(
         np.concatenate([coeffs[live] for coeffs, live in zip(fitted, lives)]), t, cfg
@@ -237,10 +234,11 @@ def pushforward_linear(ens: WeightedEnsemble, t: float) -> WeightedEnsemble:
     return ens.replace(coeffs=flow.linear_flow_many(ens.coeffs, t))
 
 
-_FUNCTIONALS = ("linf", "l2", "hs")
+FUNCTIONALS = ("linf", "l2", "hs")
 
 
-def _functional_values(ens: WeightedEnsemble, functional: str, s: float | None) -> np.ndarray:
+def functional_values(ens: WeightedEnsemble, functional: str, s: float | None) -> np.ndarray:
+    """Each draw's value of a tail functional, one of :data:`FUNCTIONALS` (``hs`` needs s)."""
     if functional == "linf":
         return spectral.linf_norms_many(ens.coeffs)
     if functional == "l2":
@@ -249,7 +247,7 @@ def _functional_values(ens: WeightedEnsemble, functional: str, s: float | None) 
         if s is None:
             raise ValueError("the hs functional needs an explicit s")
         return ens.hs_norms(s)
-    raise ValueError(f"unknown functional {functional!r}; expected one of {_FUNCTIONALS}")
+    raise ValueError(f"unknown functional {functional!r}; expected one of {FUNCTIONALS}")
 
 
 @dataclass(frozen=True)
@@ -278,7 +276,7 @@ def tail_fit(
     if ens.effective_sample_size() < 500:
         raise InsufficientDataError("tail fits need >= 500 effective samples")
     radii = np.asarray(list(radii), dtype=np.float64)
-    values = _functional_values(ens, functional, s)
+    values = functional_values(ens, functional, s)
     survival = np.array([ens.weights[values > r].sum() for r in radii])
     used = (survival >= 1e-3) & (survival <= 0.5)
     if used.sum() < 3:

@@ -11,8 +11,10 @@ spatial mean.  Amplitudes are normalised against the orthonormal L2 basis
 which makes ``sobolev_norm(c_1, s=0) == 1`` and keeps all Sobolev norms plain
 weighted sums of squared amplitudes.  A field is built from its amplitudes
 with ``TorusField`` itself, or from basis modes with ``cosine_mode`` and
-``sine_mode``.  The norms and the grid evaluation have batched forms over a
-(batch, M) amplitude array, and their one-field forms are views of those.
+``sine_mode``; ``fit_modes`` is the one rule that brings amplitudes to m
+modes, for fields, the flow, ensembles and transport alike.  The norms and
+the grid evaluation have batched forms over a (batch, M) amplitude array,
+and their one-field forms are views of those.
 The cubic integral has two paths: ``integral_u3``, an exact triple
 convolution that ``hamiltonian`` reads, and ``integral_u3_many``, the
 quadrature that the Gibbs weights and the invariance cubic read; the tests
@@ -54,14 +56,8 @@ class TorusField:
         return self.modes.size
 
     def padded(self, m: int) -> "TorusField":
-        """Zero-pad (or reject truncation) to m modes."""
-        if m < self.n_modes:
-            raise ValueError("cannot pad to fewer modes")
-        if m == self.n_modes:
-            return self
-        out = np.zeros(m, dtype=np.complex128)
-        out[: self.n_modes] = self.modes
-        return TorusField(out)
+        """The field on m modes, by :func:`fit_modes`."""
+        return TorusField(fit_modes(self.modes, m)[0])
 
     def __add__(self, other: "TorusField") -> "TorusField":
         m = max(self.n_modes, other.n_modes)
@@ -78,6 +74,16 @@ class TorusField:
 
     def __neg__(self) -> "TorusField":
         return TorusField(-self.modes)
+
+
+def fit_modes(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Mode amplitudes (batch, M) zero-padded or cut to m modes; cutting a nonzero mode raises."""
+    src = np.atleast_2d(coeffs)
+    if np.any(src[..., m:] != 0):
+        raise ValueError(f"amplitudes carry nonzero modes above the truncation {m}")
+    out = np.zeros(src.shape[:-1] + (m,), dtype=np.complex128)
+    out[..., : src.shape[-1]] = src[..., :m]
+    return out
 
 
 def zero_field(m: int = 1) -> TorusField:

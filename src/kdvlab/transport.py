@@ -56,7 +56,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching, maximum_flow
 from scipy.special import logsumexp
 
 from .measures import WeightedEnsemble
-from .spectral import NORM_FACTOR
+from .spectral import NORM_FACTOR, fit_modes
 
 MARGINAL_TOL = 1e-9
 _MASS_EPS = 1e-15  # plan entries below this are treated as structural zeros
@@ -111,7 +111,7 @@ def _plan_from(r, c, mass, ia, ib, a: WeightedEnsemble, b: WeightedEnsemble):
 def _gathered(a: WeightedEnsemble, b: WeightedEnsemble, ia, ib):
     """Rows ``ia`` of a and ``ib`` of b, those alone zero-padded to the common mode count."""
     m = max(a.n_modes, b.n_modes)
-    return tuple(np.pad(e.coeffs[i], ((0, 0), (0, m - e.n_modes))) for e, i in ((a, ia), (b, ib)))
+    return fit_modes(a.coeffs[ia], m), fit_modes(b.coeffs[ib], m)
 
 
 def _hs_weights(n_modes: int, s: float) -> np.ndarray:

@@ -44,6 +44,23 @@ def test_solve_writes_outputs(tmp_path, capsys):
     assert printed["l2_rel_drift"] == report["l2_rel_drift"]
 
 
+def test_no_dealias_changes_the_grid_only_where_it_is_below_3m(tmp_path, capsys):
+    # at 48 modes the dealiased grid is 160 points and the power-of-two one 128,
+    # on which the square of c40 aliases; at 16 and 64 modes the power of two
+    # (64, 256 points) already exceeds 3M
+    def trajectory_csv(modes, init, *flags):
+        out = tmp_path / f"m{modes}{''.join(flags)}"
+        argv = ["solve", "--modes", str(modes), "--t", "0.05", "--samples", "2",
+                "--init", init, "--out", str(out), *flags]
+        assert cli_entry(argv) == EXIT_OK
+        return (out / "trajectory.csv").read_bytes()
+
+    assert trajectory_csv(48, "c30+c40", "--no-dealias") != trajectory_csv(48, "c30+c40")
+    for modes, init in ((16, "c10+c14"), (64, "c30+c40")):
+        assert trajectory_csv(modes, init, "--no-dealias") == trajectory_csv(modes, init)
+    assert capsys.readouterr().err == ""
+
+
 def test_sample_and_inspect(tmp_path, capsys):
     path = tmp_path / "g.kdve"
     rc = cli_entry(["sample", "--measure", "gibbs", "--modes", "8", "--n", "128",

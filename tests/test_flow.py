@@ -15,6 +15,8 @@ from kdvlab.flow import (
 from kdvlab.spectral import (
     TorusField,
     cosine_mode,
+    fit_modes,
+    linf_norms_many,
     sine_mode,
     sobolev_norm,
 )
@@ -93,6 +95,20 @@ def test_batch_flow_is_the_identity_at_zero_time():
         assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
     with pytest.raises(ValueError):
         evolve_many(c, 0.0, SolverConfig(n_modes=8))  # nonzero modes above the truncation
+
+
+def test_zero_modes_padding_a_field_do_not_change_its_flow():
+    # the step is sized on the rows fitted to the solver's modes, so the
+    # sup-norm grid, and with it the step, does not see the input's width
+    rng = np.random.default_rng(3)
+    c = 8.0 * (rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8)))
+    padded = np.pad(c, ((0, 0), (0, 8)))
+    cfg = SolverConfig(n_modes=16)
+    # the input widths sample different sup-norms, both past the 1e-3 cap
+    amps = [float(np.max(linf_norms_many(x))) for x in (c, padded)]
+    assert amps[0] != amps[1] and max(cfg.step_size(a) for a in amps) < 1e-3
+    narrow, wide = evolve_many(c, 1.0, cfg), evolve_many(padded, 1.0, cfg)
+    assert np.array_equal(narrow.view(np.float64), wide.view(np.float64))
 
 
 def test_evolve_small_amplitude_matches_linear_flow():
@@ -240,12 +256,13 @@ def _oracle_evolve(coeffs, t, cfg, band=None):
     from kdvlab import flow
 
     m = cfg.n_modes
+    coeffs = fit_modes(coeffs, m)
     amplitude = float(np.max(flow.linf_norms_many(coeffs)))
     dt = cfg.step_size(amplitude)
     n_steps = max(1, int(np.ceil(abs(t) / dt)))
     grid_n = flow._grid_size(m, cfg.dealias)
     rhs = _oracle_rhs(m, m if band is None else band, grid_n)
-    chat = _oracle_ifrk4(flow._to_state(coeffs, m), n_steps, t / n_steps, m, rhs)
+    chat = _oracle_ifrk4(flow._to_state(coeffs), n_steps, t / n_steps, m, rhs)
     return chat[..., 1:] / flow.MODE_TO_EXP
 
 
@@ -389,13 +406,13 @@ def test_gufunc_stepper_equals_the_np_fft_stepper_bit_for_bit():
     coeffs = np.stack([random_field(rng, 16, scale=0.5).modes for _ in range(38)])
     for grid_n in (_grid_size(m, True), _grid_size(m, False)):
         for rows, band in ((1, m), (20, m), (38, m), (20, 20), (5, 0)):
-            start = _to_state(coeffs[:rows], m)
+            start = _to_state(fit_modes(coeffs[:rows], m))
             got = _ifrk4(start.copy(), 40, 1e-3, m, band, grid_n)
             want = _np_fft_ifrk4(start.copy(), 40, 1e-3, m, band, grid_n)
             assert np.array_equal(got.view(np.float64), want.view(np.float64))
     # a step that overflows is reported at the same step
     growing = np.linspace(0.5, 8.0, 150)[:, None] * cosine_mode(1, 16).modes[None, :]
-    start = _to_state(growing, 16)
+    start = _to_state(growing)
     with pytest.raises(FlowDivergenceError) as want:
         _np_fft_ifrk4(start.copy(), 100, 0.4, 16, 16, 64)
     with pytest.raises(FlowDivergenceError) as got:
@@ -423,6 +440,12 @@ def test_evolve_rejects_unresolvable_modes():
     cfg = SolverConfig(n_modes=4)
     with pytest.raises(ValueError):
         evolve(cosine_mode(6), 0.1, cfg)
+    # also at t = 0, where the fitted rows are the result
+    cfg = SolverConfig(n_modes=64)
+    with pytest.raises(ValueError):
+        evolve(cosine_mode(80), 0.0, cfg)
+    with pytest.raises(ValueError):
+        evolve_projected(cosine_mode(80), 0.0, 8, cfg)
 
 
 def test_divergence_reports_step():
