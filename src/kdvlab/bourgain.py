@@ -15,7 +15,6 @@ unweighted norm reproduces the discrete space-time L2 norm exactly.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .flow import linear_flow_many
+from .kdve_io import write_rows
 from .rng import derive_seed, substream
 from .spectral import TorusField, evaluate_many
 
@@ -202,12 +202,9 @@ class L4ProbeResult:
         return [float(v) for v in np.quantile(self.ratios, qs)]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "resolution", "lhs", "rhs", "ratio"])
-            res = f"{self.resolution[0]}x{self.resolution[1]}"
-            for i, (lo, hi) in enumerate(zip(self.lhs, self.rhs)):
-                writer.writerow([i, res, repr(lo), repr(hi), repr(lo / hi)])
+        res = f"{self.resolution[0]}x{self.resolution[1]}"
+        rows = [(i, res, lo, hi, lo / hi) for i, (lo, hi) in enumerate(zip(self.lhs, self.rhs))]
+        write_rows(path, ["trial", "resolution", "lhs", "rhs", "ratio"], rows)
 
 
 def l4_inequality_probe(
@@ -257,14 +254,9 @@ class BilinearProbeResult:
         return float(np.max(self.ratios))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "T", "lhs", "rhs", "ratio"])
-            for i, t in enumerate(self.t_grid):
-                writer.writerow(
-                    [i, repr(float(t)), repr(self.numerators[i]),
-                     repr(self.denominators[i]), repr(self.ratios[i])]
-                )
+        rows = zip(range(self.t_grid.size), self.t_grid, self.numerators, self.denominators,
+                   self.ratios)
+        write_rows(path, ["trial", "T", "lhs", "rhs", "ratio"], rows)
 
 
 def bilinear_scaling_probe(

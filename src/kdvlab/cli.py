@@ -23,7 +23,7 @@ from .experiments import (
     run_and_write,
 )
 from .flow import FlowDivergenceError, SolverConfig, conserved_report, trajectory
-from .kdve_io import KdveFormatError, read_ensemble, write_ensemble
+from .kdve_io import KdveFormatError, read_ensemble, write_ensemble, write_rows
 from .measures import (
     DegenerateEnsembleError,
     GaussianSpec,
@@ -32,7 +32,7 @@ from .measures import (
     sample_gaussian,
     sample_gibbs,
 )
-from .spectral import cosine_mode, fit_modes, linf_norm, sine_mode, zero_field
+from .spectral import cosine_mode, linf_norm, sine_mode, zero_field
 from .transport import (
     SinkhornConvergenceError,
     combined_metric_parts,
@@ -52,7 +52,7 @@ _EPILOG = """exit codes:
   3  malformed or inconsistent configuration
   4  I/O failure (missing file, bad ensemble format, unwritable output)
   5  numerical failure (solver divergence, degenerate ensemble,
-     transport non-convergence, invalid data for a fit)
+     transport non-convergence, invalid data for a fit, out of memory)
 
 initial data strings are sums of scaled basis modes, e.g.
   "c1", "0.5*c2", "c1+0.5*c2-0.25*s3"
@@ -114,10 +114,15 @@ def _fail(kind: str, message: str, code: int) -> int:
 _TERM = re.compile(r"([+-]?)(?:([0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)\*)?([cs])([0-9]+)")
 
 
-def parse_init(text: str):
-    """Parse sums like ``c1 + 0.5*c2 - 0.25*s3`` into a field."""
+def parse_init(text: str, modes: int):
+    """Parse sums like ``c1 + 0.5*c2 - 0.25*s3`` into a field of at most ``modes`` modes.
+
+    Terms above ``modes`` are summed per mode on one-mode fields, so their
+    index sizes no array, and must cancel to zero.
+    """
     compact = text.replace(" ", "")
     out = zero_field(1)
+    above = {}  # mode -> sum of its terms, on one-mode fields
     pos = 0
     if not compact:
         raise ValueError("empty initial data string")
@@ -132,37 +137,32 @@ def parse_init(text: str):
         mode = int(idx)
         if mode < 1:
             raise ValueError("mode indices start at 1")
-        basis = cosine_mode(mode) if kind == "c" else sine_mode(mode)
-        out = out + coeff * basis
+        high = mode > modes
+        basis = (cosine_mode if kind == "c" else sine_mode)(1 if high else mode)
+        if high:
+            above[mode] = above.get(mode, zero_field(1)) + coeff * basis
+        else:
+            out = out + coeff * basis
         pos = m.end()
+    if any(np.any(f.modes != 0) for f in above.values()):
+        raise ValueError(f"carries modes above the solver truncation --modes {modes}")
     return out
-
-
-_init_field = _usage_type(parse_init)
 
 
 def _cmd_solve(args) -> int:
     try:
-        fit_modes(args.init.modes, args.modes)
-    except ValueError:
-        return _fail(
-            "usage",
-            f"argument --init: carries modes above the solver truncation --modes {args.modes}",
-            EXIT_USAGE,
-        )
-    cfg = SolverConfig(n_modes=args.modes, dt=args.dt, dealias=not args.no_dealias)
+        init = parse_init(args.init, args.modes)
+    except ValueError as exc:
+        return _fail("usage", f"argument --init: {exc}", EXIT_USAGE)
+    cfg = SolverConfig(n_modes=args.modes, dt=args.dt)
     times = np.linspace(args.t / args.samples, args.t, args.samples)
-    traj = trajectory(args.init, times, cfg)
+    traj = trajectory(init, times, cfg)
     drift = conserved_report(traj)
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "trajectory.csv")
-    with open(path, "w") as fh:
-        fh.write("t,l2_norm,hamiltonian,linf_norm,mean\n")
-        for i, t in enumerate(traj.times):
-            fh.write(
-                f"{t!r},{traj.l2_norms[i]!r},{traj.hamiltonians[i]!r},"
-                f"{linf_norm(traj.states[i])!r},{traj.means[i]!r}\n"
-            )
+    rows = zip(traj.times, traj.l2_norms, traj.hamiltonians, map(linf_norm, traj.states),
+               traj.means)
+    write_rows(os.path.join(args.out, "trajectory.csv"),
+               ["t", "l2_norm", "hamiltonian", "linf_norm", "mean"], rows)
     report = {
         "l2_rel_drift": drift.l2_rel_drift,
         "hamiltonian_rel_drift": drift.hamiltonian_rel_drift,
@@ -257,9 +257,8 @@ def build_parser() -> _Parser:
     p_solve.add_argument("--modes", type=_solver_modes, default=64)
     p_solve.add_argument("--dt", type=_finite_positive, default=None)
     p_solve.add_argument("--t", type=_finite_positive, required=True)
-    p_solve.add_argument("--init", type=_init_field, required=True)
+    p_solve.add_argument("--init", type=str, required=True)
     p_solve.add_argument("--samples", type=_positive_int, default=20)
-    p_solve.add_argument("--no-dealias", action="store_true")
     p_solve.add_argument("--out", type=str, default="runs/solve")
 
     p_sample = sub.add_parser("sample", help="draw an ensemble, write a .kdve file")
@@ -323,6 +322,7 @@ def cli_entry(argv) -> int:
         SinkhornConvergenceError,
         InsufficientDataError,
         ValueError,
+        MemoryError,
     ) as exc:
         return _fail("numeric", str(exc), EXIT_NUMERIC)
 

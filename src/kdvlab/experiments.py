@@ -10,7 +10,6 @@ scheduling.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -23,7 +22,7 @@ import numpy as np
 
 from .fitting import bootstrap_weighted_mean, weighted_linear_fit
 from .flow import SolverConfig, evolve, evolve_projected
-from .kdve_io import write_ensemble
+from .kdve_io import write_ensemble, write_rows
 from .measures import (
     FUNCTIONALS,
     GaussianSpec,
@@ -298,13 +297,12 @@ def write_report(report: ExperimentReport, out_dir, fmt: str = "csv") -> None:
             json.dump(report.series, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return
-    with open(os.path.join(out_dir, "series.csv"), "w", newline="") as fh:
-        if not report.series:
-            return
-        writer = csv.DictWriter(fh, fieldnames=list(report.series[0].keys()))
-        writer.writeheader()
-        for row in report.series:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+    path = os.path.join(out_dir, "series.csv")
+    if not report.series:
+        open(path, "w").close()
+        return
+    header = list(report.series[0])
+    write_rows(path, header, ([row[k] for k in header] for row in report.series))
 
 
 # --- shared pieces -----------------------------------------------------------

@@ -4,14 +4,16 @@ The equation integrated is u_t + u_xxx + (u^2/2)_x = 0.  In mode space the
 dispersive part is the exact phase factor exp(i k^3 t), so the stepper is an
 integrating-factor Runge-Kutta scheme of order four: the linear group is
 applied exactly each step and only the quadratic term is integrated
-numerically, evaluated pseudospectrally on a zero-padded grid of at least
-3M+1 points (the least 2^a, 3 * 2^a or 5 * 2^a, see ``_grid_size``) so the
-product is alias-free.  Every evolution (single field, projected, batch)
-fits its input to the solver's modes once (``spectral.fit_modes``), so zero
-padding never changes its step, and goes through one stepper that steps
-the whole batch in buffers allocated once per call.  Its transforms call
-numpy's pocketfft gufuncs directly, as ``np.fft.irfft`` and ``np.fft.rfft``
-call them, so a step pays no wrapper checks; the results are the same bits.
+numerically, evaluated pseudospectrally on the zero-padded grid of
+``spectral.alias_free_points`` (the least 2^a, 3 * 2^a or 5 * 2^a of at
+least 3M+1 points), on which the product is alias-free.  The solver has no
+other grid and no setting besides its modes and its step.  Every evolution
+(single field, projected, batch) fits its input to the solver's modes once
+(``spectral.fit_modes``), so zero padding never changes its step, and goes
+through one stepper that steps the whole batch in buffers allocated once
+per call.  Its transforms call numpy's pocketfft gufuncs directly, as
+``np.fft.irfft`` and ``np.fft.rfft`` call them, so a step pays no wrapper
+checks; the results are the same bits.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from numpy.fft._pocketfft_umath import rfft_n_odd as _rfft_n_odd
 from .spectral import (
     MODE_TO_EXP,
     TorusField,
+    alias_free_points,
     fit_modes,
     hamiltonian,
     linf_norms_many,
@@ -44,34 +47,29 @@ class FlowDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Discretisation parameters for the nonlinear integrator.
+    """The integrator's two settings: its truncation and its time step.
 
     ``dt=None`` selects the amplitude-aware default
     min(1e-3, 0.5 / (n_modes * (1 + |u0|_inf))); any step is accepted as
-    long as it stays below cfl_constant / (n_modes * (1 + |u0|_inf)).
-    Experiment configs set only ``n_modes`` and ``dt`` (their
-    ``solver_modes`` and ``dt`` keys) and report a ``ValueError`` from the
-    constructor's checks as a config error; ``dealias`` is off only under
-    ``solve --no-dealias``.
+    long as it stays below the stability limit 2 / (n_modes * (1 + |u0|_inf)).
+    Experiment configs set them by their ``solver_modes`` and ``dt`` keys
+    and report a ``ValueError`` from the constructor's checks as a config
+    error.
     """
 
     n_modes: int = 64
     dt: float | None = None
-    dealias: bool = True
-    cfl_constant: float = 2.0
 
     def __post_init__(self):
         if self.n_modes < 4:
             raise ValueError("solver needs at least 4 modes")
         if self.dt is not None and not 0 < self.dt < math.inf:
             raise ValueError("dt must be finite and positive")
-        if not self.cfl_constant > 0:
-            raise ValueError("cfl_constant must be positive")
 
     def step_size(self, amplitude: float) -> float:
         """Step for a state of the given sup-norm amplitude; past the stability limit it raises."""
         dt = min(1e-3, 0.5 / (self.n_modes * (1.0 + amplitude))) if self.dt is None else self.dt
-        limit = self.cfl_constant / (self.n_modes * (1.0 + amplitude))
+        limit = 2.0 / (self.n_modes * (1.0 + amplitude))
         if dt > limit:
             raise ValueError(
                 f"dt={dt:g} exceeds stability limit {limit:g} "
@@ -89,26 +87,6 @@ def linear_flow_many(coeffs: np.ndarray, t: float) -> np.ndarray:
     """Exact Airy group on a (batch, M) amplitude array: mode k picks up exp(i k^3 t)."""
     k = np.arange(1, coeffs.shape[-1] + 1, dtype=np.float64)
     return coeffs * np.exp(1j * k**3 * t)
-
-
-def _grid_size(m: int, dealias: bool) -> int:
-    """Points of the padded grid on which the stepper squares the field.
-
-    Dealiased, it is the least 2^a, 3 * 2^a or 5 * 2^a of at least 3m+1: a
-    product of two modes of size <= m has modes q with |q| <= 2m, whose
-    aliases q -/+ N lie at least N - 2m >= m + 1 away, outside the band.
-    Those lengths are fast for the FFT, and the rule never returns more
-    than the power of two.  Without dealiasing the grid stays the least
-    power of two of at least 2m+2, because the modes an aliased product
-    folds back depend on the grid.
-    """
-    need, bases = (3 * m + 1, (1, 3, 5)) if dealias else (2 * m + 2, (1,))
-    sizes = []
-    for n in bases:
-        while n < need:
-            n *= 2
-        sizes.append(n)
-    return min(sizes)
 
 
 def _ifrk4(chat: np.ndarray, n_steps: int, h: float, m: int, band: int, grid_n: int) -> np.ndarray:
@@ -211,7 +189,7 @@ def _evolve_state(
         return fitted
     dt = cfg.step_size(float(np.max(linf_norms_many(fitted))))
     n_steps = max(1, math.ceil(abs(t) / dt))
-    chat = _ifrk4(_to_state(fitted), n_steps, t / n_steps, m, band, _grid_size(m, cfg.dealias))
+    chat = _ifrk4(_to_state(fitted), n_steps, t / n_steps, m, band, alias_free_points(m))
     return chat[..., 1:] / MODE_TO_EXP
 
 

@@ -16,10 +16,13 @@ valid only if n >= 1, M >= 1, every number is finite, the weights are
 nonnegative and they sum to one within 1e-12.  The resampled flag is the
 only state of an ensemble besides its draws and weights, so a write and a
 read give back the same ensemble.
+
+Every CSV file the package writes goes through ``write_rows``.
 """
 
 from __future__ import annotations
 
+import csv
 import struct
 
 import numpy as np
@@ -35,6 +38,15 @@ FLAG_RESAMPLED = 0x01
 
 class KdveFormatError(RuntimeError):
     """File does not follow the ensemble binary layout."""
+
+
+def write_rows(path, header, rows) -> None:
+    """A CSV file of a header and rows; a float (numpy's too) is written as ``repr(float(x))``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row]
+                         for row in rows)
 
 
 def write_ensemble(path, ens: WeightedEnsemble) -> None:

@@ -172,17 +172,27 @@ def integral_u3(u: TorusField) -> float:
     return float(2.0 * np.pi * np.sum(seg * full[::-1]).real)
 
 
+def alias_free_points(m: int) -> int:
+    """Points of the grid on which a product of m-mode fields is alias-free.
+
+    It is the least 2^a, 3 * 2^a or 5 * 2^a of at least 3m+1: a product of
+    two modes of size <= m has modes q with |q| <= 2m, whose aliases q -/+ N
+    lie at least N - 2m >= m + 1 away, outside the band, and the trapezoid
+    rule integrates a product of three exactly.  Those lengths are fast for
+    the FFT, and the rule never returns more than the least power of two.
+    """
+    # the least b * 2^a >= 3m+1 is b << bit_length(ceil((3m+1)/b) - 1)
+    return min(b << (3 * m // b).bit_length() for b in (1, 3, 5))
+
+
 def integral_u3_many(coeffs: np.ndarray) -> np.ndarray:
     """Cubic integrals of each row of a (batch, M) amplitude array, by quadrature.
 
-    The periodic trapezoid rule on the least power of two n >= 3M+1 points
-    is exact for trigonometric polynomials of degree <= 3M, so each row
-    agrees with :func:`integral_u3` to roundoff.
+    The periodic trapezoid rule on the stepper's grid of n >= 3M+1 points
+    (:func:`alias_free_points`) is exact for trigonometric polynomials of
+    degree <= 3M, so each row agrees with :func:`integral_u3` to roundoff.
     """
-    m = coeffs.shape[-1]
-    n = 4
-    while n < 3 * m + 1:
-        n *= 2
+    n = alias_free_points(coeffs.shape[-1])
     vals = evaluate_many(coeffs, n)
     return np.sum(vals**3, axis=-1) * (2.0 * np.pi / n)
 

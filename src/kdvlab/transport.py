@@ -42,7 +42,6 @@ distance kernel; no solver uses it.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -55,6 +54,7 @@ from scipy.optimize._highspy import _core as _highs  # private HiGHS binding, se
 from scipy.sparse.csgraph import maximum_bipartite_matching, maximum_flow
 from scipy.special import logsumexp
 
+from .kdve_io import write_rows
 from .measures import WeightedEnsemble
 from .spectral import NORM_FACTOR, fit_modes
 
@@ -659,11 +659,7 @@ def write_plan_csv(
     as the shortest decimal that reads back to the same double.
     """
     cost = _pair_distances(a, b, plan.rows, plan.cols, s) ** p
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "mass", "cost"])
-        for i, j, mass, c in zip(plan.rows, plan.cols, plan.mass, cost):
-            writer.writerow([int(i), int(j), repr(float(mass)), repr(float(c))])
+    write_rows(path, ["i", "j", "mass", "cost"], zip(plan.rows, plan.cols, plan.mass, cost))
 
 
 def write_distance_json(path, distance: CombinedDistance) -> None:

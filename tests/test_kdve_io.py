@@ -1,12 +1,19 @@
+import csv
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from kdvlab.cli import EXIT_IO, cli_entry
+from kdvlab.bourgain import bilinear_scaling_probe, l4_inequality_probe, traveling_wave
+from kdvlab.cli import EXIT_IO, EXIT_OK, cli_entry
+from kdvlab.experiments import ExperimentReport, write_report
 from kdvlab.kdve_io import KdveFormatError, read_ensemble, write_ensemble
 from kdvlab.measures import GaussianSpec, GibbsSpec, WeightedEnsemble, sample_gaussian, sample_gibbs
+from kdvlab.spectral import cosine_mode
+from kdvlab.transport import wasserstein_p_exact, write_plan_csv
 
 
 def test_round_trip_bytes(tmp_path):
@@ -110,3 +117,97 @@ def test_inspect_rejects_invalid_ensembles_with_exit_4(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "io"
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
+
+
+def test_every_csv_writer_writes_numbers_float_reads_back(tmp_path, capsys):
+    # each writer's numeric fields, numpy scalars among them, read back by float()
+    # to the values written
+    def numbers(path, text_columns=()):
+        header, rows = _read_csv(path)
+        keep = [i for i, name in enumerate(header) if name not in text_columns]
+        return np.array([[float(row[i]) for i in keep] for row in rows])
+
+    assert cli_entry(["solve", "--modes", "16", "--t", "0.05", "--samples", "3",
+                      "--init", "c1+0.5*s2", "--out", str(tmp_path / "solve")]) == EXIT_OK
+    table = numbers(tmp_path / "solve" / "trajectory.csv")
+    assert table.shape == (3, 5) and np.array_equal(table[:, 0], np.linspace(0.05 / 3, 0.05, 3))
+
+    l4 = l4_inequality_probe(100, (32, 32))
+    l4.write_csv(tmp_path / "l4.csv")
+    table = numbers(tmp_path / "l4.csv", ("resolution",))
+    assert np.array_equal(table, np.column_stack([np.arange(100), l4.lhs, l4.rhs, l4.ratios]))
+
+    u = traveling_wave(cosine_mode(1), 32, 64)
+    bil = bilinear_scaling_probe(u, u, 0.0, [1.0, 0.5, 0.25, 0.125])
+    bil.write_csv(tmp_path / "bil.csv")
+    want = np.column_stack([np.arange(4), bil.t_grid, bil.numerators, bil.denominators,
+                            bil.ratios])
+    assert np.array_equal(numbers(tmp_path / "bil.csv"), want)
+
+    row = {"t": 0.5, "value": np.float64(1.25), "low": np.float32(0.1), "n": np.int64(3)}
+    write_report(ExperimentReport("demo", [row], {}, {}), tmp_path / "rep")
+    assert numbers(tmp_path / "rep" / "series.csv").tolist() == [[0.5, 1.25, float(row["low"]), 3]]
+
+    a = sample_gaussian(GaussianSpec(n_modes=3, seed=1), 5)
+    b = sample_gaussian(GaussianSpec(n_modes=4, seed=2), 6)
+    _, plan = wasserstein_p_exact(a, b, 0.25, 2.0)
+    write_plan_csv(tmp_path / "plan.csv", plan, a, b, 0.25, 2.0)
+    table = numbers(tmp_path / "plan.csv")
+    assert np.array_equal(table[:, 2], plan.mass)
+
+
+# a valid file of 4 draws on 3 modes: a 21-byte header, then 56 bytes per draw
+_ENS = sample_gaussian(GaussianSpec(n_modes=3, seed=1), 4)
+_HEADER = struct.pack("<4sIIQB", b"KDVE", 1, 3, 4, 0)
+_RECORDS = np.column_stack([_ENS.weights, _ENS.coeffs.view(np.float64)]).astype("<f8")
+_VALID = _HEADER + _RECORDS.tobytes()
+
+_sizes = st.one_of(st.integers(0, 40), st.integers(0, 2**32 - 1))
+_headers = st.builds(
+    lambda magic, version, m, n, flags: struct.pack("<4sIIQB", magic, version, m, n, flags),
+    st.sampled_from([b"KDVE", b"KDVF", b"\0\0\0\0"]), st.integers(0, 3), _sizes,
+    st.one_of(_sizes, st.integers(0, 2**64 - 1)), st.integers(0, 255),
+)
+_BODY = len(_HEADER)
+
+
+def _with_weight(i, w):
+    """The valid file with draw i's weight replaced by w."""
+    at = _BODY + 56 * i
+    return _VALID[:at] + struct.pack("<d", w) + _VALID[at + 8 :]
+
+
+_mutants = st.one_of(
+    st.builds(lambda k: _VALID[:k], st.integers(0, len(_VALID))),
+    st.builds(lambda head: head + _VALID[_BODY:], _headers),
+    st.builds(_with_weight, st.integers(0, 3),
+              st.sampled_from([np.nan, np.inf, -np.inf, -0.25, 0.0, 1.0, 2.0])),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=_mutants)
+@example(blob=_VALID)
+def test_mutated_kdve_bytes_read_or_fail_as_format_errors(tmp_path, capsys, blob):
+    path = tmp_path / "m.kdve"
+    path.write_bytes(blob)
+    try:
+        ens = read_ensemble(path)
+    except KdveFormatError:
+        ens = None
+    rc = cli_entry(["inspect", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert rc == (EXIT_IO if ens is None else EXIT_OK)
+    if ens is None:
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"] == "io"
+    else:
+        assert captured.err == "" and json.loads(captured.out)["n"] == ens.n
