@@ -66,6 +66,7 @@ from .transport import (
     PushforwardCost,
     SinkhornConvergenceError,
     TransportPlan,
+    TransportSolveError,
     combined_metric_parts,
     cost_matrix,
     plan_cost,

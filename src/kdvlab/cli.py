@@ -1,8 +1,10 @@
 """Command-line interface: solve, sample, distance, experiment, inspect.
 
+A command prints its result as one line of standard JSON to stdout.
 Failures print a machine-readable JSON object to stderr and exit with a
 documented code: 2 usage error, 3 malformed config, 4 I/O failure,
-5 numerical failure (divergence, degenerate ensemble, non-convergence).
+5 numerical failure (divergence, degenerate ensemble, non-convergence, a
+result that is not a finite number).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .measures import (
 from .spectral import cosine_mode, linf_norm, sine_mode, zero_field
 from .transport import (
     SinkhornConvergenceError,
+    TransportSolveError,
     combined_metric_parts,
     write_distance_json,
     write_plan_csv,
@@ -52,7 +55,8 @@ _EPILOG = """exit codes:
   3  malformed or inconsistent configuration
   4  I/O failure (missing file, bad ensemble format, unwritable output)
   5  numerical failure (solver divergence, degenerate ensemble,
-     transport non-convergence, invalid data for a fit, out of memory)
+     transport non-convergence, invalid data for a fit, out of memory,
+     a result that is not a finite number)
 
 initial data strings are sums of scaled basis modes, e.g.
   "c1", "0.5*c2", "c1+0.5*c2-0.25*s3"
@@ -149,11 +153,11 @@ def parse_init(text: str, modes: int):
     return out
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> dict:
     try:
         init = parse_init(args.init, args.modes)
     except ValueError as exc:
-        return _fail("usage", f"argument --init: {exc}", EXIT_USAGE)
+        raise _UsageError(f"argument --init: {exc}") from None
     cfg = SolverConfig(n_modes=args.modes, dt=args.dt)
     times = np.linspace(args.t / args.samples, args.t, args.samples)
     traj = trajectory(init, times, cfg)
@@ -174,11 +178,10 @@ def _cmd_solve(args) -> int:
     with open(os.path.join(args.out, "conserved_report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(json.dumps(report, sort_keys=True))
-    return EXIT_OK
+    return report
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> dict:
     gauss = GaussianSpec(n_modes=args.modes, seed=args.seed)
     if args.measure == "gaussian":
         ens = sample_gaussian(gauss, args.n)
@@ -192,46 +195,33 @@ def _cmd_sample(args) -> int:
         )
         ens, kappa = sample_gibbs(spec, args.n, resample=args.resample)
     write_ensemble(args.out, ens)
-    print(
-        json.dumps(
-            {
-                "file": args.out,
-                "n": ens.n,
-                "modes": ens.n_modes,
-                "kappa": kappa,
-                "effective_sample_size": ens.effective_sample_size(),
-            },
-            sort_keys=True,
-        )
-    )
-    return EXIT_OK
+    return {"file": args.out, "n": ens.n, "modes": ens.n_modes, "kappa": kappa,
+            "effective_sample_size": ens.effective_sample_size()}
 
 
-def _cmd_distance(args) -> int:
+def _cmd_distance(args) -> dict:
     a = read_ensemble(args.a)
     b = read_ensemble(args.b)
     parts = combined_metric_parts(a, b, args.s, args.p, args.backend, args.epsilon)
-    print(json.dumps({"distance": parts.total, "w_inf": parts.w_inf, "w_p": parts.w_p,
-                      "backend": parts.backend}, sort_keys=True))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         write_distance_json(os.path.join(args.out, "distance.json"), parts)
         write_plan_csv(os.path.join(args.out, "plan.csv"), parts.plan, a, b, args.s, args.p)
-    return EXIT_OK
+    return {"distance": parts.total, "w_inf": parts.w_inf, "w_p": parts.w_p,
+            "backend": parts.backend}
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> dict:
     flags = {"experiment": args.name, "seed": args.seed, "threads": args.threads,
              "format": args.format}
     cfg = load_config(args.config, **{k: v for k, v in flags.items() if v is not None})
     report = run_and_write(cfg, out_dir=args.out)
-    print(json.dumps({"experiment": report.name, "summary": report.summary}, sort_keys=True))
-    return EXIT_OK
+    return {"experiment": report.name, "summary": report.summary}
 
 
-def _cmd_inspect(args) -> int:
+def _cmd_inspect(args) -> dict:
     ens = read_ensemble(args.file)
-    info = {
+    return {
         "file": args.file,
         "n": ens.n,
         "modes": ens.n_modes,
@@ -240,8 +230,6 @@ def _cmd_inspect(args) -> int:
         "mean_l2_sq": float(np.sum(ens.weights * ens.l2_norms() ** 2)),
         "mean_hs_sq_s0.25": float(np.sum(ens.weights * ens.hs_norms(0.25) ** 2)),
     }
-    print(json.dumps(info, sort_keys=True))
-    return EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -308,10 +296,11 @@ def cli_entry(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # an overflow shows as a non-finite result, which standard JSON refuses
+        with np.errstate(all="ignore"):
+            line = json.dumps(_HANDLERS[args.command](args), sort_keys=True, allow_nan=False)
     except _UsageError as exc:
         return _fail("usage", str(exc), EXIT_USAGE)
-    try:
-        return _HANDLERS[args.command](args)
     except ConfigError as exc:
         return _fail("config", str(exc), EXIT_CONFIG)
     except (OSError, KdveFormatError) as exc:
@@ -320,11 +309,14 @@ def cli_entry(argv) -> int:
         FlowDivergenceError,
         DegenerateEnsembleError,
         SinkhornConvergenceError,
+        TransportSolveError,
         InsufficientDataError,
         ValueError,
         MemoryError,
     ) as exc:
         return _fail("numeric", str(exc), EXIT_NUMERIC)
+    print(line)
+    return EXIT_OK
 
 
 def main() -> None:

@@ -10,10 +10,10 @@ least 3M+1 points), on which the product is alias-free.  The solver has no
 other grid and no setting besides its modes and its step.  Every evolution
 (single field, projected, batch) fits its input to the solver's modes once
 (``spectral.fit_modes``), so zero padding never changes its step, and goes
-through one stepper that steps the whole batch in buffers allocated once
-per call.  Its transforms call numpy's pocketfft gufuncs directly, as
-``np.fft.irfft`` and ``np.fft.rfft`` call them, so a step pays no wrapper
-checks; the results are the same bits.
+through one stepper, which steps the whole batch as one mode-major state in
+buffers allocated once per call.  Its transforms call numpy's pocketfft
+gufuncs directly, as ``np.fft.irfft`` and ``np.fft.rfft`` call them, so a
+step pays no wrapper checks; the results are the same bits.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft._pocketfft_umath import irfft as _irfft  # private gufuncs, see _ifrk4
-from numpy.fft._pocketfft_umath import rfft_n_even as _rfft_n_even
-from numpy.fft._pocketfft_umath import rfft_n_odd as _rfft_n_odd
+from numpy.fft._pocketfft_umath import rfft_n_even as _rfft  # grid_n is always even
 
 from .spectral import (
     MODE_TO_EXP,
@@ -35,6 +34,9 @@ from .spectral import (
     linf_norms_many,
     sobolev_norm,
 )
+
+
+MAX_STEPS = 10**7  # ~3000x the most steps any test, demo or bench call takes (3,200)
 
 
 class FlowDivergenceError(RuntimeError):
@@ -89,87 +91,72 @@ def linear_flow_many(coeffs: np.ndarray, t: float) -> np.ndarray:
     return coeffs * np.exp(1j * k**3 * t)
 
 
-def _ifrk4(chat: np.ndarray, n_steps: int, h: float, m: int, band: int, grid_n: int) -> np.ndarray:
-    """Step the (batch, m+1) state n_steps times in place and return it.
+def _ifrk4(u: np.ndarray, n_steps: int, h: float, band: int, grid_n: int) -> np.ndarray:
+    """Step the mode-major state u, row k holding the e^{ikx} coefficients, in place.
 
-    The quadratic term -(1/2) d_x (P u)^2 is projected back onto modes
-    <= band.  Every buffer is allocated once per call and every stage is
-    written into one of them, so a step allocates nothing batch-sized.  Each
-    stage evaluates the formula in its comment in that expression order,
-    which fixes its result bit for bit; a stage input is read only on modes
-    1..band, so its last expression is written there straight into the
-    padded spectrum.  The transforms are pocketfft's gufuncs, called as
-    ``np.fft.irfft`` / ``np.fft.rfft`` call them for ``norm="forward"``
-    (factors 1 and 1/grid_n), without the wrapper's per-call checks.
+    The quadratic term -(1/2) d_x (P u)^2 is projected onto modes <= band;
+    only the rhs reads the band.  The factors are broadcast to u's shape
+    once, so every stage runs over whole arrays allocated once per call, in
+    the expression order of its comment, which fixes its bits.  The
+    transforms are pocketfft's gufuncs, called as ``np.fft.irfft`` /
+    ``np.fft.rfft`` call them for ``norm="forward"`` (factors 1 and 1/grid_n;
+    grid_n is even), without the wrapper's checks; the inverse zero-pads
+    above the band itself.
     """
-    rows = chat.shape[0]
-    k = np.arange(m + 1, dtype=np.float64)
+    rows = u.shape[1]
+    k = np.arange(u.shape[0], dtype=np.float64)[:, None]
     phase = 1j * k**3
-    e_full = np.exp(h * phase)
-    e_half = np.exp(0.5 * h * phase)
+    e_full, e_half = (np.repeat(np.exp(c * phase), rows, axis=1) for c in (h, 0.5 * h))
     two_e_half = 2.0 * e_half
-    neg_half_ik = -0.5 * (1j * k)
+    neg_half_ik = np.repeat(-0.5 * (1j * k[: band + 1]), rows, axis=1)
     half_h, sixth_h = 0.5 * h, h / 6.0
-    rfft = _rfft_n_even if grid_n % 2 == 0 else _rfft_n_odd
     inv_n = 1 / grid_n
-    spectrum = np.zeros((rows, grid_n // 2 + 1), dtype=np.complex128)
     grid = np.empty((rows, grid_n), dtype=np.float64)
-    product = np.empty_like(spectrum)
+    product = np.empty((grid_n // 2 + 1, rows), dtype=np.complex128)
     # the rhs writes modes 0..band only; modes above the band stay zero
-    n1, n2, n3, n4 = (np.zeros_like(chat) for _ in range(4))
-    a = np.empty((rows, band), dtype=np.complex128)  # stage scratch on modes 1..band
-    b = np.empty_like(chat)
-    lo, top = slice(1, band + 1), slice(0, band + 1)
-    spec_lo, chat_lo, b_lo = spectrum[:, lo], chat[:, lo], b[:, lo]
-    n1_lo, n2_lo, n3_lo, e_half_lo = n1[:, lo], n2[:, lo], n3[:, lo], e_half[lo]
-    ik_top, product_top = neg_half_ik[top], product[:, top]
-    state = chat.view(np.float64)
+    n1, n2, n3, n4 = (np.zeros_like(u) for _ in range(4))
+    a, b = np.empty_like(u), np.empty_like(u)
+    state = u.view(np.float64)
 
-    def rhs(out: np.ndarray) -> None:
-        """out[:, :band+1] = -(1/2) i k FFT((IFFT spectrum)^2), the rhs of the stage in ``spectrum``."""
-        _irfft(spectrum, 1.0, out=grid)
+    def rhs(src: np.ndarray, out: np.ndarray) -> None:
+        """out[:band+1] = -(1/2) i k FFT((IFFT src[:band+1])^2)."""
+        _irfft(src[: band + 1].T, 1.0, out=grid)
         np.multiply(grid, grid, out=grid)
-        rfft(grid, inv_n, out=product)
-        np.multiply(ik_top, product_top, out=out[:, top])
+        _rfft(grid, inv_n, out=product.T)
+        np.multiply(neg_half_ik, product[: band + 1], out=out[: band + 1])
 
     # overflow of an unstable step is caught by the finite check below
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n_steps):
-            spec_lo[...] = chat_lo
-            rhs(n1)
-            # n2 = rhs(e_half * (chat + (h/2) n1))
-            np.multiply(half_h, n1_lo, out=a)
-            np.add(chat_lo, a, out=a)
-            np.multiply(e_half_lo, a, out=spec_lo)
-            rhs(n2)
-            # n3 = rhs(e_half * chat + (h/2) n2)
-            np.multiply(e_half_lo, chat_lo, out=a)
-            np.multiply(half_h, n2_lo, out=b_lo)
-            np.add(a, b_lo, out=spec_lo)
-            rhs(n3)
-            # n4 = rhs(e_full * chat + h (e_half n3)); b keeps e_full * chat
-            np.multiply(e_full, chat, out=b)
-            np.multiply(e_half_lo, n3_lo, out=a)
+            rhs(u, n1)
+            # n2 = rhs(e_half * (u + (h/2) n1))
+            np.multiply(half_h, n1, out=a)
+            np.add(u, a, out=a)
+            np.multiply(e_half, a, out=a)
+            rhs(a, n2)
+            # n3 = rhs(e_half * u + (h/2) n2)
+            np.multiply(e_half, u, out=a)
+            np.multiply(half_h, n2, out=b)
+            np.add(a, b, out=a)
+            rhs(a, n3)
+            # n4 = rhs(e_full * u + h (e_half n3)); b keeps e_full * u
+            np.multiply(e_full, u, out=b)
+            np.multiply(e_half, n3, out=a)
             np.multiply(h, a, out=a)
-            np.add(b_lo, a, out=spec_lo)
-            rhs(n4)
-            # chat = e_full * chat + (h/6) (e_full n1 + 2 e_half (n2 + n3) + n4)
+            np.add(b, a, out=a)
+            rhs(a, n4)
+            # u = e_full * u + (h/6) (e_full n1 + 2 e_half (n2 + n3) + n4)
             np.add(n2, n3, out=n2)
             np.multiply(two_e_half, n2, out=n2)
             np.multiply(e_full, n1, out=n1)
             np.add(n1, n2, out=n1)
             np.add(n1, n4, out=n1)
             np.multiply(sixth_h, n1, out=n1)
-            np.add(b, n1, out=chat)
+            np.add(b, n1, out=u)
             # any non-finite entry makes the sum non-finite; finite entries can overflow it too
             if not math.isfinite(np.add.reduce(state, axis=None)) and not np.all(np.isfinite(state)):
                 raise FlowDivergenceError(step)
-    return chat
-
-
-def _to_state(coeffs: np.ndarray) -> np.ndarray:
-    """Mode amplitudes (batch, m) -> solver state (batch, m+1) of e^{ikx} coefficients."""
-    return np.pad(coeffs * MODE_TO_EXP, ((0, 0), (1, 0)))
+    return u
 
 
 def _evolve_state(
@@ -179,8 +166,9 @@ def _evolve_state(
 
     The rows are fitted to the solver's m modes once, and are the result at
     t = 0.  The whole batch is stepped at once with the step size the largest
-    fitted amplitude sets; a divergence reports the earliest step at which
-    any row stops being finite.
+    fitted amplitude sets; more than ``MAX_STEPS`` steps raise ``ValueError``
+    before the first.  A divergence reports the earliest step at which any
+    row stops being finite.
     """
     m = cfg.n_modes
     band = m if nl_band is None else nl_band
@@ -188,9 +176,13 @@ def _evolve_state(
     if t == 0.0:
         return fitted
     dt = cfg.step_size(float(np.max(linf_norms_many(fitted))))
+    if not abs(t) <= MAX_STEPS * dt:
+        raise ValueError(f"t={t:g} needs more than {MAX_STEPS} steps of dt={dt:g}")
     n_steps = max(1, math.ceil(abs(t) / dt))
-    chat = _ifrk4(_to_state(fitted), n_steps, t / n_steps, m, band, alias_free_points(m))
-    return chat[..., 1:] / MODE_TO_EXP
+    u = np.zeros((m + 1, fitted.shape[0]), dtype=np.complex128)
+    u[1:] = fitted.T * MODE_TO_EXP
+    _ifrk4(u, n_steps, t / n_steps, band, alias_free_points(m))
+    return np.ascontiguousarray(u[1:].T) / MODE_TO_EXP
 
 
 def evolve(u0: TorusField, t: float, cfg: SolverConfig) -> TorusField:

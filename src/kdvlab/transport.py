@@ -62,6 +62,10 @@ MARGINAL_TOL = 1e-9
 _MASS_EPS = 1e-15  # plan entries below this are treated as structural zeros
 
 
+class TransportSolveError(RuntimeError):
+    """A transport solver found no optimum: its LP failed, or its bottleneck search broke."""
+
+
 class SinkhornConvergenceError(RuntimeError):
     def __init__(self, residual: float, iterations: int):
         super().__init__(
@@ -229,7 +233,7 @@ def _transport_lp(wa, wb, cost):
     object with presolve and output off.
     Skipping ``linprog``'s wrapper and presolve leaves about a third of its
     time per solve on the live blocks of a Gibbs pair, at the same optimum.
-    Raises ``RuntimeError`` unless HiGHS reports an optimum.
+    Raises ``TransportSolveError`` unless HiGHS reports an optimum.
     """
     n, m = cost.shape
     rows, cols = np.divmod(np.arange(n * m), m)
@@ -252,7 +256,7 @@ def _transport_lp(wa, wb, cost):
     )
     highs.run()
     if highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
-        raise RuntimeError("transport LP failed")
+        raise TransportSolveError("transport LP failed")
     return rows, cols, np.maximum(np.array(highs.getSolution().col_value), 0.0)
 
 
@@ -348,6 +352,8 @@ def wasserstein_p_entropic(
     block = _live_block(a, b, s) if block is None else block
     wa, wb = block.wa, block.wb
     cost = block.hs**p
+    if not np.isfinite(cost).all():  # the annealing below would never end
+        raise ValueError("transport costs overflow float64")
     if epsilon is None:
         epsilon = max(0.01 * float(np.median(cost)), 1e-12)
     la, lb = np.log(wa), np.log(wb)
@@ -555,7 +561,7 @@ def wasserstein_inf(
         # complete; a crossing edge within lam would have put its column in
         # the reach.  The check only turns a broken invariant into an error.
         if not lam < nxt < np.inf:
-            raise RuntimeError("bottleneck feasibility could not be established")
+            raise TransportSolveError("bottleneck feasibility could not be established")
         lam = nxt
     return float(top), witness
 

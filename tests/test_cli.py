@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from kdvlab.cli import (
     cli_entry,
     parse_init,
 )
+from kdvlab.flow import MAX_STEPS
 from kdvlab.spectral import cosine_mode, sine_mode
 
 
@@ -466,6 +468,19 @@ def test_memory_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
         assert captured.out == "" and _one_json_line(captured.err) == {
             "error": "numeric", "message": "Unable to allocate 23.3 TiB for an array"}
     assert not (tmp_path / "e.kdve").exists()
+
+
+def test_solve_past_the_step_limit_fails_before_stepping(tmp_path, capsys):
+    # amplitude 1e100 sizes a step of about 1e-102, so t = 1 asks for ~1e101 steps
+    start = time.perf_counter()
+    rc = cli_entry(["solve", "--modes", "16", "--t", "1", "--samples", "1", "--init", "1e100*c1",
+                    "--out", str(tmp_path / "s")])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == EXIT_NUMERIC and elapsed < 5.0
+    assert captured.out == "" and _one_json_line(captured.err)["error"] == "numeric"
+    assert f"more than {MAX_STEPS} steps" in _one_json_line(captured.err)["message"]
+    assert not (tmp_path / "s").exists()
 
 
 # initial data strings: terms with a bounded coefficient, so that no example

@@ -1,6 +1,7 @@
 import csv
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kdvlab.bourgain import bilinear_scaling_probe, l4_inequality_probe, traveling_wave
-from kdvlab.cli import EXIT_IO, EXIT_OK, cli_entry
+from kdvlab.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, cli_entry
 from kdvlab.experiments import ExperimentReport, write_report
 from kdvlab.kdve_io import KdveFormatError, read_ensemble, write_ensemble
 from kdvlab.measures import GaussianSpec, GibbsSpec, WeightedEnsemble, sample_gaussian, sample_gibbs
@@ -211,3 +212,47 @@ def test_mutated_kdve_bytes_read_or_fail_as_format_errors(tmp_path, capsys, blob
         assert json.loads(line)["error"] == "io"
     else:
         assert captured.err == "" and json.loads(captured.out)["n"] == ens.n
+
+
+# valid files whose first draw carries finite but huge amplitudes: its squared
+# norms, and its distances to ordinary draws, overflow float64
+_huge = st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]),
+                  st.floats(1e150, np.finfo(np.float64).max))
+_small = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _huge_ensembles(draw):
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    parts = np.array(draw(st.lists(_small, min_size=2 * m * n, max_size=2 * m * n)))
+    coeffs = (parts[::2] + 1j * parts[1::2]).reshape(n, m)
+    for k in draw(st.sets(st.integers(0, m - 1), min_size=1)):
+        coeffs[0, k] = complex(draw(_huge), draw(st.one_of(_huge, _small)))
+    return WeightedEnsemble(coeffs, np.full(n, 1.0 / n))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ens=_huge_ensembles())
+def test_huge_amplitudes_keep_the_exit_code_contract(tmp_path, capsys, ens):
+    path, normal = tmp_path / "huge.kdve", tmp_path / "normal.kdve"
+    write_ensemble(path, ens)
+    write_ensemble(normal, sample_gaussian(GaussianSpec(n_modes=2, seed=4), 3))
+    for argv in (["inspect", "--file", str(path)],
+                 ["distance", "--a", str(path), "--b", str(normal)],
+                 ["distance", "--a", str(normal), "--b", str(path), "--p", "1"],
+                 ["distance", "--a", str(path), "--b", str(path)]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli_entry(argv)
+        captured = capsys.readouterr()
+        assert caught == [], argv  # no numpy warning reaches stderr
+        assert rc in (EXIT_OK, EXIT_NUMERIC), argv
+        if rc == EXIT_OK:
+            # standard JSON: a NaN or Infinity would raise
+            json.loads(captured.out, parse_constant=lambda name: 1 / 0)
+            assert captured.err == ""
+        else:
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert json.loads(line)["error"] == "numeric"
