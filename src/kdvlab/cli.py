@@ -25,7 +25,8 @@ from .experiments import (
     run_and_write,
 )
 from .flow import FlowDivergenceError, SolverConfig, conserved_report, trajectory
-from .kdve_io import KdveFormatError, read_ensemble, write_ensemble, write_rows
+from .kdve_io import (KdveFormatError, read_ensemble, require_finite, write_ensemble, write_json,
+                      write_rows)
 from .measures import (
     DegenerateEnsembleError,
     GaussianSpec,
@@ -110,8 +111,7 @@ _solver_modes = _usage_type(lambda text: SolverConfig(n_modes=int(text)).n_modes
 
 
 def _fail(kind: str, message: str, code: int) -> int:
-    json.dump({"error": kind, "message": message}, sys.stderr)
-    sys.stderr.write("\n")
+    sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
     return code
 
 
@@ -175,9 +175,7 @@ def _cmd_solve(args) -> dict:
         "modes": args.modes,
         "dt": args.dt,
     }
-    with open(os.path.join(args.out, "conserved_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "conserved_report.json"), report)
     return report
 
 
@@ -296,9 +294,11 @@ def cli_entry(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # an overflow shows as a non-finite result, which standard JSON refuses
+        # an overflow shows as a non-finite result, which is refused by name
         with np.errstate(all="ignore"):
-            line = json.dumps(_HANDLERS[args.command](args), sort_keys=True, allow_nan=False)
+            result = _HANDLERS[args.command](args)
+        require_finite(result, args.command)
+        line = json.dumps(result, sort_keys=True, allow_nan=False)
     except _UsageError as exc:
         return _fail("usage", str(exc), EXIT_USAGE)
     except ConfigError as exc:

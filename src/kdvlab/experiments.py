@@ -11,7 +11,6 @@ scheduling.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import typing
@@ -22,7 +21,7 @@ import numpy as np
 
 from .fitting import bootstrap_weighted_mean, weighted_linear_fit
 from .flow import SolverConfig, evolve, evolve_projected
-from .kdve_io import write_ensemble, write_rows
+from .kdve_io import require_finite, write_ensemble, write_json, write_rows
 from .measures import (
     FUNCTIONALS,
     GaussianSpec,
@@ -250,21 +249,6 @@ class ExperimentReport:
     provenance: dict
     ensemble: WeightedEnsemble | None = field(default=None, compare=False, repr=False)
 
-    def require_finite(self) -> None:
-        def walk(obj, where):
-            if isinstance(obj, dict):
-                for k, v in obj.items():
-                    walk(v, f"{where}.{k}")
-            elif isinstance(obj, (list, tuple)):
-                for i, v in enumerate(obj):
-                    walk(v, f"{where}[{i}]")
-            elif isinstance(obj, float) and not math.isfinite(obj):
-                raise ValueError(f"non-finite report value at {where}")
-
-        walk(self.summary, "summary")
-        for i, row in enumerate(self.series):
-            walk(row, f"series[{i}]")
-
 
 def _provenance(cfg: ExperimentConfig) -> dict:
     import scipy
@@ -283,19 +267,15 @@ def _provenance(cfg: ExperimentConfig) -> dict:
 def write_report(report: ExperimentReport, out_dir, fmt: str = "csv") -> None:
     """Persist report.json plus the series as series.csv or series.json."""
     os.makedirs(out_dir, exist_ok=True)
-    report.require_finite()
+    require_finite(report.series, "series")  # write_json checks the summary before any file
     payload = {
         "experiment": report.name,
         "summary": report.summary,
         "provenance": report.provenance,
     }
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "report.json"), payload)
     if fmt == "json":
-        with open(os.path.join(out_dir, "series.json"), "w") as fh:
-            json.dump(report.series, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(out_dir, "series.json"), report.series)
         return
     path = os.path.join(out_dir, "series.csv")
     if not report.series:

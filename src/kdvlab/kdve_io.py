@@ -17,12 +17,17 @@ nonnegative and they sum to one within 1e-12.  The resampled flag is the
 only state of an ensemble besides its draws and weights, so a write and a
 read give back the same ensemble.
 
-Every CSV file the package writes goes through ``write_rows``.
+Every CSV file the package writes goes through ``write_rows``, and every
+JSON file through ``write_json``, which refuses a non-finite number before
+it opens the file.
 """
 
 from __future__ import annotations
 
 import csv
+import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -47,6 +52,30 @@ def write_rows(path, header, rows) -> None:
         writer.writerow(header)
         writer.writerows([repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row]
                          for row in rows)
+
+
+def require_finite(obj, where: str) -> None:
+    """Raise ``ValueError`` naming the path (``where.key[i]``) of obj's first non-finite float."""
+
+    def walk(obj, where):
+        if isinstance(obj, dict):
+            for k, v in obj.items():
+                walk(v, f"{where}.{k}")
+        elif isinstance(obj, (list, tuple)):
+            for i, v in enumerate(obj):
+                walk(v, f"{where}[{i}]")
+        elif isinstance(obj, float) and not math.isfinite(obj):
+            raise ValueError(f"non-finite value at {where}")
+
+    walk(obj, where)
+
+
+def write_json(path, payload) -> None:
+    """Payload as JSON: sorted keys, indent 2, final newline; a non-finite float raises first."""
+    require_finite(payload, os.path.basename(path))
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_ensemble(path, ens: WeightedEnsemble) -> None:

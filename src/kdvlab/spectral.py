@@ -12,13 +12,9 @@ which makes ``sobolev_norm(c_1, s=0) == 1`` and keeps all Sobolev norms plain
 weighted sums of squared amplitudes.  A field is built from its amplitudes
 with ``TorusField`` itself, or from basis modes with ``cosine_mode`` and
 ``sine_mode``; ``fit_modes`` is the one rule that brings amplitudes to m
-modes, for fields, the flow, ensembles and transport alike.  The norms and
-the grid evaluation have batched forms over a (batch, M) amplitude array,
-and their one-field forms are views of those.
-The cubic integral has two paths: ``integral_u3``, an exact triple
-convolution that ``hamiltonian`` reads, and ``integral_u3_many``, the
-quadrature that the Gibbs weights and the invariance cubic read; the tests
-hold each to the other.
+modes, for fields, the flow, ensembles and transport alike.  The norms,
+the cubic integral and the grid evaluation have batched forms over a
+(batch, M) amplitude array, and their one-field forms are views of those.
 """
 
 from __future__ import annotations
@@ -161,15 +157,8 @@ def project(u: TorusField, n_keep: int) -> TorusField:
 
 
 def integral_u3(u: TorusField) -> float:
-    """Integral of u^3 over the torus, by triple mode convolution (exact)."""
-    m = u.n_modes
-    c = u.modes * MODE_TO_EXP
-    full = np.concatenate([np.conj(c[::-1]), [0.0], c])  # k = -M..M
-    sq = np.convolve(full, full)  # coefficients of u^2, k = -2M..2M
-    center = 2 * m
-    seg = sq[center - m : center + m + 1]  # k = -M..M
-    # integral = 2 pi * sum_k (u^2)_hat(k) u_hat(-k)
-    return float(2.0 * np.pi * np.sum(seg * full[::-1]).real)
+    """Integral of u^3 over the torus, by the quadrature of :func:`integral_u3_many`."""
+    return float(integral_u3_many(u.modes))
 
 
 def alias_free_points(m: int) -> int:
@@ -190,7 +179,8 @@ def integral_u3_many(coeffs: np.ndarray) -> np.ndarray:
 
     The periodic trapezoid rule on the stepper's grid of n >= 3M+1 points
     (:func:`alias_free_points`) is exact for trigonometric polynomials of
-    degree <= 3M, so each row agrees with :func:`integral_u3` to roundoff.
+    degree <= 3M, so each row is the exact triple mode convolution up to
+    roundoff.
     """
     n = alias_free_points(coeffs.shape[-1])
     vals = evaluate_many(coeffs, n)

@@ -42,7 +42,6 @@ distance kernel; no solver uses it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -54,7 +53,7 @@ from scipy.optimize._highspy import _core as _highs  # private HiGHS binding, se
 from scipy.sparse.csgraph import maximum_bipartite_matching, maximum_flow
 from scipy.special import logsumexp
 
-from .kdve_io import write_rows
+from .kdve_io import write_json, write_rows
 from .measures import WeightedEnsemble
 from .spectral import NORM_FACTOR, fit_modes
 
@@ -679,6 +678,4 @@ def write_distance_json(path, distance: CombinedDistance) -> None:
         "iterations": distance.iterations,
         "marginal_residuals": [distance.plan.row_residual, distance.plan.col_residual],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

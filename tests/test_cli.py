@@ -26,6 +26,8 @@ from kdvlab.cli import (
     parse_init,
 )
 from kdvlab.flow import MAX_STEPS
+from kdvlab.kdve_io import write_ensemble
+from kdvlab.measures import WeightedEnsemble
 from kdvlab.spectral import cosine_mode, sine_mode
 
 
@@ -535,3 +537,25 @@ def test_readme_documents_every_flag_and_its_commands_parse():
     assert {shlex.split(line)[1] for line in lines} == set(commands.choices)
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_a_non_finite_solve_names_the_field_and_writes_no_json(tmp_path, capsys):
+    out = tmp_path / "D"
+    argv = ["solve", "--init", "1e110*c1+1e110*c2", "--t", "1e-200", "--samples", "2",
+            "--out", str(out)]
+    assert cli_entry(argv) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    payload = _one_json_line(captured.err)
+    assert captured.out == "" and payload["error"] == "numeric"
+    assert "hamiltonian_rel_drift" in payload["message"]
+    for path in out.rglob("*.json"):
+        assert not re.search(r"NaN|Infinity", path.read_text()), path
+
+
+def test_a_non_finite_result_names_the_command_and_field(tmp_path, capsys):
+    path = tmp_path / "huge.kdve"
+    write_ensemble(path, WeightedEnsemble(np.array([[1e200 + 0j]]), np.array([1.0])))
+    assert cli_entry(["inspect", "--file", str(path)]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_json_line(captured.err) == {
+        "error": "numeric", "message": "non-finite value at inspect.mean_l2_sq"}

@@ -6,8 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvlab.experiments import (
+    EXPERIMENTS,
+    PERTURBATIONS,
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
@@ -22,6 +26,7 @@ from kdvlab.experiments import (
     run_tails,
     write_report,
 )
+from kdvlab.measures import FUNCTIONALS
 
 
 SMALL_INVARIANCE = """
@@ -88,10 +93,15 @@ def test_config_hash_stability():
     assert config_hash(a) != config_hash(c)
 
 
-def test_report_finiteness_guard():
-    rep = ExperimentReport("x", [{"v": math.inf}], {}, {})
-    with pytest.raises(ValueError):
-        rep.require_finite()
+def test_report_finiteness_guard(tmp_path):
+    # a non-finite series or summary value is named, and no file is written
+    for series, summary, where in (([{"v": math.inf}], {}, r"series\[0\]\.v"),
+                                   ([], {"x": [1.0, math.nan]}, r"summary\.x\[1\]")):
+        rep = ExperimentReport("x", series, summary, {})
+        for fmt in ("csv", "json"):
+            with pytest.raises(ValueError, match=f"non-finite value at .*{where}$"):
+                write_report(rep, tmp_path / fmt, fmt)
+            assert list((tmp_path / fmt).iterdir()) == []
 
 
 def test_write_report_files(tmp_path):
@@ -369,6 +379,30 @@ def test_every_config_field_parses_from_text():
     for key in ("dt", "epsilon"):
         with pytest.raises(ConfigError):
             parse_config_text(f"{key} = none\n")
+
+
+# values of every kind a key takes, well formed or not, and text of any kind
+_NUMBER = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["0", "-0", "1e-320", "1e400", "nan", "-inf", "1_0", "0x10", ""]),
+).map(str)
+_WORD = st.sampled_from(EXPERIMENTS + PERTURBATIONS + FUNCTIONALS
+                        + ("gaussian", "gibbs", "csv", "json", "exact", "entropic", "true", "no"))
+_VALUE = st.one_of(_NUMBER, _WORD, st.lists(st.one_of(_NUMBER, _WORD), max_size=5).map(", ".join),
+                   st.text(max_size=12))
+_LINE = st.tuples(st.sampled_from([f.name for f in dataclasses.fields(ExperimentConfig)]), _VALUE)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lines=st.lists(_LINE, max_size=8))
+def test_parse_config_text_gives_a_config_or_a_config_error(lines):
+    text = "\n".join(f"{key} = {value}" for key, value in lines)
+    try:
+        cfg = parse_config_text(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
 
 
 SMALL_CONTINUITY = (

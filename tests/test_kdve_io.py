@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import struct
 import warnings
 
@@ -11,7 +12,13 @@ from hypothesis import strategies as st
 from kdvlab.bourgain import bilinear_scaling_probe, l4_inequality_probe, traveling_wave
 from kdvlab.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, cli_entry
 from kdvlab.experiments import ExperimentReport, write_report
-from kdvlab.kdve_io import KdveFormatError, read_ensemble, write_ensemble
+from kdvlab.kdve_io import (
+    KdveFormatError,
+    read_ensemble,
+    require_finite,
+    write_ensemble,
+    write_json,
+)
 from kdvlab.measures import GaussianSpec, GibbsSpec, WeightedEnsemble, sample_gaussian, sample_gibbs
 from kdvlab.spectral import cosine_mode
 from kdvlab.transport import wasserstein_p_exact, write_plan_csv
@@ -256,3 +263,16 @@ def test_huge_amplitudes_keep_the_exit_code_contract(tmp_path, capsys, ens):
             assert captured.out == ""
             (line,) = captured.err.splitlines()
             assert json.loads(line)["error"] == "numeric"
+
+
+def test_write_json_writes_sorted_indented_json_and_refuses_non_finite_values(tmp_path):
+    payload = {"b": [1.0, np.float64(0.1)], "a": {"n": 3, "s": "x", "none": None}}
+    path = tmp_path / "ok.json"
+    write_json(path, payload)
+    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    for bad, where in (({"a": {"x": np.float64(np.nan)}}, "bad.json.a.x"),
+                       ({"m": [0.0, (1.0, -np.inf)]}, "bad.json.m[1][1]")):
+        with pytest.raises(ValueError, match=re.escape(f"non-finite value at {where}") + "$"):
+            write_json(tmp_path / "bad.json", bad)
+        assert not (tmp_path / "bad.json").exists()
+    require_finite({"n": 1, "v": [0.5, "nan"]}, "ok")  # strings are not numbers

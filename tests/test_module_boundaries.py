@@ -1,4 +1,5 @@
-"""No kdvlab module reaches into another module's private names."""
+"""No kdvlab module reaches into another module's private names, and only
+``kdve_io`` writes JSON or CSV files."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,59 @@ def test_no_module_reads_a_private_name_of_another():
         if (reaches := private_reaches(path.read_text()))
     }
     assert found == {}
+
+
+WRITERS = {("json", "dump"), ("csv", "writer")}
+
+
+def writer_calls(source: str) -> list[str]:
+    """``json.dump`` or ``csv.writer`` for every call of a file writer the source makes."""
+    tree = ast.parse(source)
+    modules, functions = {}, {}  # local name -> module, local name -> (module, function)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                functions[alias.asname or alias.name] = (node.module, alias.name)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            target = (modules.get(func.value.id), func.attr)
+        elif isinstance(func, ast.Name):
+            target = functions.get(func.id)
+        else:
+            continue
+        if target in WRITERS:
+            found.append(".".join(target))
+    return found
+
+
+def test_the_checker_flags_json_and_csv_writers():
+    assert writer_calls("import json\njson.dump(x, fh)\n") == ["json.dump"]
+    assert writer_calls("import csv as c\nw = c.writer(fh)\n") == ["csv.writer"]
+    assert writer_calls("from json import dump as d\nd(x, fh)\n") == ["json.dump"]
+    assert writer_calls("from csv import writer\nwriter(fh).writerow(r)\n") == ["csv.writer"]
+    clean = (
+        "import json\n"
+        "json.dumps(x)\n"
+        "json.loads(text)\n"
+        "self.dump(x)\n"
+        "fh.writer(x)\n"
+        "write_json(path, payload)\n"
+    )
+    assert writer_calls(clean) == []
+
+
+def test_only_kdve_io_writes_json_or_csv():
+    found = {
+        path.name: calls
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "kdve_io" and (calls := writer_calls(path.read_text()))
+    }
+    assert found == {}
+    assert sorted(writer_calls((PACKAGE / "kdve_io.py").read_text())) == ["csv.writer", "json.dump"]

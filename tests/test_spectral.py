@@ -115,15 +115,32 @@ def test_integral_u3_examples():
     assert integral_u3(zero_field(2)) == 0.0
 
 
+def convolution_u3(modes):
+    """Integral of u^3 by triple mode convolution: exact, so the quadrature's oracle."""
+    m = modes.size
+    c = modes * MODE_TO_EXP
+    full = np.concatenate([np.conj(c[::-1]), [0.0], c])  # k = -M..M
+    sq = np.convolve(full, full)  # coefficients of u^2, k = -2M..2M
+    seg = sq[m : 3 * m + 1]  # k = -M..M
+    # integral = 2 pi * sum_k (u^2)_hat(k) u_hat(-k)
+    return float(2.0 * np.pi * np.sum(seg * full[::-1]).real)
+
+
 def test_integral_u3_convolution_vs_quadrature():
-    # the exact convolution checks the batched quadrature row by row
+    # the exact convolution checks the batched quadrature, its one-field view
+    # and the hamiltonian that reads it, row by row
     rng = np.random.default_rng(4)
     for m in range(1, 97):
         rows = np.array([random_field(rng, m).modes for _ in range(3)])
         rows *= np.minimum(1.0, 2.0 / sobolev_norms_many(rows, 0.0))[:, None]
         quad = integral_u3_many(rows)
-        for u, q in zip(rows, quad):
-            assert abs(integral_u3(TorusField(u)) - q) < 1e-10
+        for row, q in zip(rows, quad):
+            u, exact = TorusField(row), convolution_u3(row)
+            assert abs(exact - q) < 1e-10
+            assert abs(exact - integral_u3(u)) < 1e-10
+            gradient = 0.5 * sobolev_norm(u, 1.0) ** 2
+            expect = gradient - exact / 6.0
+            assert abs(hamiltonian(u) - expect) <= 1e-13 * (gradient + abs(exact) / 6.0)
 
 
 def test_hamiltonian_examples():
