@@ -162,11 +162,8 @@ def _cmd_solve(args) -> dict:
     times = np.linspace(args.t / args.samples, args.t, args.samples)
     traj = trajectory(init, times, cfg)
     drift = conserved_report(traj)
-    os.makedirs(args.out, exist_ok=True)
-    rows = zip(traj.times, traj.l2_norms, traj.hamiltonians, map(linf_norm, traj.states),
-               traj.means)
-    write_rows(os.path.join(args.out, "trajectory.csv"),
-               ["t", "l2_norm", "hamiltonian", "linf_norm", "mean"], rows)
+    rows = list(zip(traj.times, traj.l2_norms, traj.hamiltonians, map(linf_norm, traj.states),
+                    traj.means))
     report = {
         "l2_rel_drift": drift.l2_rel_drift,
         "hamiltonian_rel_drift": drift.hamiltonian_rel_drift,
@@ -175,6 +172,12 @@ def _cmd_solve(args) -> dict:
         "modes": args.modes,
         "dt": args.dt,
     }
+    # a non-finite report or row is refused before either file is opened
+    require_finite(report, "conserved_report.json")
+    require_finite(rows, "trajectory.csv")
+    os.makedirs(args.out, exist_ok=True)
+    write_rows(os.path.join(args.out, "trajectory.csv"),
+               ["t", "l2_norm", "hamiltonian", "linf_norm", "mean"], rows)
     write_json(os.path.join(args.out, "conserved_report.json"), report)
     return report
 

@@ -103,7 +103,7 @@ class ExperimentConfig:
         if not all(math.isfinite(t) for t in self.time_grid):
             raise ConfigError("time grid entries must be finite")
         try:
-            self.solver()
+            solver = self.solver()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if any(abs(t) > HORIZON for t in self.time_grid):
@@ -116,6 +116,11 @@ class ExperimentConfig:
             raise ConfigError("continuity fits a line: its time grid needs >= 2 times")
         if not math.isfinite(self.cubic_coefficient):
             raise ConfigError("cubic_coefficient must be finite")
+        if self.experiment == "invariance_nonlinear" and self.cubic_coefficient != 1.0 / 6.0:
+            # only then is the Gibbs weight exp(-H_N), the law the Galerkin flow keeps
+            raise ConfigError(
+                f"invariance_nonlinear needs cubic_coefficient = 1/6, got {self.cubic_coefficient!r}"
+            )
         if not self.cutoff_radius > 0:
             raise ConfigError("cutoff_radius must be positive")
         if self.perturbation_mode < 1:
@@ -123,7 +128,7 @@ class ExperimentConfig:
         if self.ensemble_size < 1 or self.modes < 1:
             raise ConfigError("ensemble size and modes must be positive")
         evolves = self.experiment not in ("tails", "invariance_linear")
-        if evolves and self.modes > self.solver_modes:
+        if evolves and self.modes > solver.n_modes:
             raise ConfigError(f"{self.experiment} evolves its draws: modes must be <= solver_modes")
         shifts = self.experiment in ("continuity", "stability") and self.perturbation == "mode_shift"
         if shifts and self.perturbation_mode > self.solver_modes:
@@ -152,7 +157,10 @@ class ExperimentConfig:
             raise ConfigError("tails needs a nonempty list of tail functionals")
 
     def solver(self) -> SolverConfig:
-        return SolverConfig(n_modes=self.solver_modes, dt=self.dt)
+        """The experiment's flow, at ``solver_modes``; invariance_nonlinear's is the
+        Galerkin flow at the measure's ``modes``, which keeps its truncated Gibbs measure."""
+        n_modes = self.modes if self.experiment == "invariance_nonlinear" else self.solver_modes
+        return SolverConfig(n_modes=n_modes, dt=self.dt)
 
     def gaussian_spec(self, seed: int | None = None) -> GaussianSpec:
         return GaussianSpec(n_modes=self.modes, seed=self.seed if seed is None else seed)
@@ -477,6 +485,10 @@ def _run_invariance_linear(cfg: ExperimentConfig) -> ExperimentReport:
 def _run_invariance_nonlinear(cfg: ExperimentConfig) -> ExperimentReport:
     """Push a Gibbs ensemble by the nonlinear flow and test measure-level stillness.
 
+    The flow is the N-mode Galerkin flow, N the measure's ``modes`` (see
+    :meth:`ExperimentConfig.solver`; ``solver_modes`` is not read).  It
+    conserves |u|_{L2} and H_N and is divergence-free, so it keeps the
+    truncated Gibbs measure mu_N, and the pushed draws stay on its N modes.
     Weighted means of |u|_{L2}^2 and the cubic integral are compared against
     bootstrap standard errors of the unevolved ensemble; the combined distance
     between the ensemble and its pushforward is located inside the null band

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import shlex
@@ -274,8 +275,12 @@ def test_vanishing_perturbation_is_a_config_error(tmp_path, capsys, experiment):
     pytest.param("experiment = tails\nmeasure = gaussian\ntail_functionals =\n",
                  "tail functionals", id="empty-tail-functionals"),
     pytest.param("experiment = continuity\nsolver_modes = 3\n", "solver", id="three-solver-modes"),
-    pytest.param("experiment = invariance_nonlinear\nmodes = 20\n", "modes",
+    pytest.param("experiment = continuity\nmodes = 20\n", "modes",
                  id="modes-above-solver-modes"),
+    pytest.param("experiment = invariance_nonlinear\nmodes = 3\n", "solver",
+                 id="three-modes-invariance"),
+    pytest.param("experiment = invariance_nonlinear\ncubic_coefficient = 0.2\n",
+                 "cubic_coefficient", id="non-gibbs-cubic-coefficient"),
     pytest.param("experiment = stability\nperturbation_mode = 20\n", "perturbation_mode",
                  id="shift-above-solver-modes"),
 ])
@@ -306,6 +311,19 @@ def test_continuity_evolves_a_pair_with_different_mode_counts(tmp_path, capsys):
     assert captured.err == ""
     assert json.loads(captured.out)["summary"]["bound_dominates"] is True
     assert (out / "report.json").exists() and (out / "base.kdve").exists()
+
+
+def test_invariance_runs_with_modes_above_the_unread_solver_modes(tmp_path, capsys):
+    # invariance_nonlinear pushes its draws by the Galerkin flow at their own 20 modes
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = invariance_nonlinear\nmodes = 20\nsolver_modes = 16\n"
+                   "cutoff_radius = 3\nensemble_size = 32\ntime_grid = 0.01\n"
+                   "bootstrap_replicas = 2\n")
+    out = tmp_path / "run"
+    assert cli_entry(["experiment", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert math.isfinite(json.loads(captured.out)["summary"]["distance"])
 
 
 def test_projection_and_init_above_the_truncation_are_usage_errors(tmp_path, capsys):
@@ -550,6 +568,7 @@ def test_a_non_finite_solve_names_the_field_and_writes_no_json(tmp_path, capsys)
     assert "hamiltonian_rel_drift" in payload["message"]
     for path in out.rglob("*.json"):
         assert not re.search(r"NaN|Infinity", path.read_text()), path
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_a_non_finite_result_names_the_command_and_field(tmp_path, capsys):

@@ -26,7 +26,9 @@ from kdvlab.experiments import (
     run_tails,
     write_report,
 )
-from kdvlab.measures import FUNCTIONALS
+from kdvlab.flow import SolverConfig, evolve_many, evolve_projected
+from kdvlab.measures import FUNCTIONALS, sample_gibbs
+from kdvlab.spectral import TorusField, hamiltonian, sobolev_norms_many
 
 
 SMALL_INVARIANCE = """
@@ -129,6 +131,63 @@ def test_invariance_nonlinear_small(tmp_path):
     assert rep.summary["kappa"] > 0
     assert rep.summary["null_hi95"] >= rep.summary["null_lo95"] > 0
     assert math.isfinite(rep.summary["distance"])
+
+
+GIBBS_16 = """
+experiment = invariance_nonlinear
+measure = gibbs
+modes = 16
+ensemble_size = 512
+solver_modes = 48
+time_grid = 0.2
+bootstrap_replicas = 2
+seed = 0
+"""
+
+
+def test_invariance_pushes_by_the_galerkin_flow_at_the_measure_modes(monkeypatch):
+    from kdvlab import experiments
+
+    cfg = parse_config_text(GIBBS_16)
+    assert cfg.solver() == SolverConfig(n_modes=16)
+    push = experiments.pushforward
+    calls = []
+
+    def spy(ens, t, solver):
+        calls.append((ens, t, push(ens, t, solver)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(experiments, "pushforward", spy)
+    run_experiment(cfg)
+    ((ens, t, pushed),) = calls
+    # the pushed draws live on the measure's 16 modes: no mode above N exists
+    assert pushed.coeffs.shape == (ens.n, 16)
+    # and they are the band-16 flow on 48 modes (both at the 1e-3 step cap)
+    wide = SolverConfig(n_modes=48)
+    live = np.flatnonzero(ens.weights > 0)
+    assert live.size > 10
+    for i in live:
+        want = evolve_projected(ens.field(i), t, 16, wide).modes
+        assert not np.any(want[16:])
+        assert np.max(np.abs(pushed.coeffs[i] - want[:16])) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_galerkin_flow_drift_of_l2_and_h16_falls_as_the_step_halves():
+    cfg = parse_config_text(GIBBS_16)
+    ens = sample_gibbs(cfg.gibbs_spec(), cfg.ensemble_size)[0]
+    c0 = ens.coeffs[ens.weights > 0]
+
+    def invariants(c):
+        return sobolev_norms_many(c, 0.0), np.array([hamiltonian(TorusField(row)) for row in c])
+
+    l2_0, h_0 = invariants(c0)
+    drifts = []
+    for h in (1e-3, 5e-4, 2.5e-4):
+        l2, ham = invariants(evolve_many(c0, 0.5, SolverConfig(n_modes=16, dt=h)))
+        drifts.append([np.max(np.abs(l2 - l2_0)), np.max(np.abs(ham - h_0))])
+    # observed: H_16 drift 1.7e-3, 6.6e-5, 2.3e-6 (L2 1.1e-5, 4.4e-7, 1.5e-8), order 4.7-4.9
+    orders = np.log2(np.array(drifts[:-1]) / np.array(drifts[1:]))
+    assert np.all(orders >= 4.0), orders
 
 
 def test_determinism_across_runs_and_threads(tmp_path):
