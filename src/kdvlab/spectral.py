@@ -8,13 +8,14 @@ spatial mean.  Amplitudes are normalised against the orthonormal L2 basis
 
     u = sum_n a_n c_n + b_n s_n   <->   u_hat(n) = (a_n - i b_n) * sqrt(pi)/2
 
-which makes ``sobolev_norm(c_1, s=0) == 1`` and keeps all Sobolev norms plain
-weighted sums of squared amplitudes.  A field is built from its amplitudes
-with ``TorusField`` itself, or from basis modes with ``cosine_mode`` and
-``sine_mode``; ``fit_modes`` is the one rule that brings amplitudes to m
-modes, for fields, the flow, ensembles and transport alike.  The norms,
-the cubic integral and the grid evaluation have batched forms over a
-(batch, M) amplitude array, and their one-field forms are views of those.
+which makes ``sobolev_norm(c_1, s=0) == 1``.  A Sobolev norm sums squared
+amplitudes weighted by :func:`hs_weights` in the order of transport's
+distance kernel, so it is the distance to 0, bit for bit.  A field is built
+from its amplitudes with ``TorusField`` itself, or from basis modes with
+``cosine_mode`` and ``sine_mode``; ``fit_modes`` is the one rule that brings
+amplitudes to m modes, for fields, the flow, ensembles and transport alike.
+The norms, the cubic integral and the grid evaluation have batched forms
+over a (batch, M) amplitude array, and their one-field forms are views of those.
 """
 
 from __future__ import annotations
@@ -124,12 +125,23 @@ def sobolev_norm(u: TorusField, s: float) -> float:
     return float(sobolev_norms_many(u.modes, s))
 
 
-def sobolev_norms_many(coeffs: np.ndarray, s: float) -> np.ndarray:
-    """H^s norms of each row of a (batch, M) amplitude array."""
+def hs_weights(m: int, s: float) -> np.ndarray:
+    """Weights w_k = NORM_FACTOR k^{2s}, k = 1..m, of |u|_{H^s}^2 = sum_k w_k |u_hat(k)|^2."""
+    k = np.arange(1, m + 1, dtype=np.float64)
+    return NORM_FACTOR * k ** (2 * s)
+
+
+def _squared_norms(coeffs: np.ndarray, s: float) -> np.ndarray:
+    """Squared H^s norms sum_k w_k (re_k^2 + im_k^2) of each row, in the distance kernel's order."""
     if s < 0:
         raise ValueError("regularity exponent must be >= 0")
-    k = np.arange(1, coeffs.shape[-1] + 1, dtype=np.float64)
-    return np.sqrt(NORM_FACTOR * np.sum(k ** (2 * s) * np.abs(coeffs) ** 2, axis=-1))
+    x = np.ascontiguousarray(coeffs)  # the kernel, too, sums over a contiguous last axis
+    return np.sum(hs_weights(x.shape[-1], s) * (x.real**2 + x.imag**2), axis=-1)
+
+
+def sobolev_norms_many(coeffs: np.ndarray, s: float) -> np.ndarray:
+    """H^s norms of each row of a (batch, M) amplitude array: each row's H^s distance to 0."""
+    return np.sqrt(_squared_norms(coeffs, s))
 
 
 def linf_norm(u: TorusField) -> float:
@@ -189,4 +201,4 @@ def integral_u3_many(coeffs: np.ndarray) -> np.ndarray:
 
 def hamiltonian(u: TorusField) -> float:
     """Energy functional H(u) = |d_x u|_{L2}^2 / 2 - (1/6) integral of u^3."""
-    return 0.5 * sobolev_norm(u, 1.0) ** 2 - integral_u3(u) / 6.0
+    return float(0.5 * _squared_norms(u.modes, 1.0) - integral_u3(u) / 6.0)

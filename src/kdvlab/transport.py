@@ -55,7 +55,7 @@ from scipy.special import logsumexp
 
 from .kdve_io import write_json, write_rows
 from .measures import WeightedEnsemble
-from .spectral import NORM_FACTOR, fit_modes
+from .spectral import fit_modes, hs_weights
 
 MARGINAL_TOL = 1e-9
 _MASS_EPS = 1e-15  # plan entries below this are treated as structural zeros
@@ -117,12 +117,6 @@ def _gathered(a: WeightedEnsemble, b: WeightedEnsemble, ia, ib):
     return fit_modes(a.coeffs[ia], m), fit_modes(b.coeffs[ib], m)
 
 
-def _hs_weights(n_modes: int, s: float) -> np.ndarray:
-    """Weights w_k of the squared H^s norm sum_k w_k |x_k|^2."""
-    k = np.arange(1, n_modes + 1, dtype=np.float64)
-    return NORM_FACTOR * k ** (2 * s)
-
-
 def _weighted_norms(outs, weights, ar, ai, br, bi, sq, tmp) -> None:
     """Write sqrt(sum_k w_k |a_k - b_k|^2) of the broadcast pair (a, b) into ``outs``, one per w.
 
@@ -152,7 +146,7 @@ def _distance_matrices(xa: np.ndarray, xb: np.ndarray, exponents) -> list[np.nda
     if min(exponents) < 0:
         raise ValueError("regularity exponent must be >= 0")
     (n, k), m = xa.shape, xb.shape[0]
-    weights = [_hs_weights(k, s) for s in exponents]
+    weights = [hs_weights(k, s) for s in exponents]
     out = [np.empty((n, m)) for _ in exponents]
     block = max(1, (1 << 22) // max(1, m * k))
     sq, tmp = (np.empty((min(block, n), m, k)) for _ in range(2))
@@ -172,7 +166,7 @@ def _pair_distances(a: WeightedEnsemble, b: WeightedEnsemble, rows, cols, s: flo
     Each block gathers and pads only its own pairs' draws.
     """
     k = max(a.n_modes, b.n_modes)
-    w = _hs_weights(k, s)
+    w = hs_weights(k, s)
     out = np.empty(rows.size)
     block = max(1, (1 << 22) // max(1, k))
     sq, tmp = (np.empty((min(block, rows.size), k)) for _ in range(2))
@@ -220,6 +214,17 @@ def _live_block(a: WeightedEnsemble, b: WeightedEnsemble, s: float) -> _LiveBloc
     uniform = a.n == b.n and np.allclose(both, 1.0 / a.n, atol=1e-12, rtol=0.0)
     dist = _distance_matrices(xa, xb, (s, 0.0) if s != 0 else (0.0,))
     return _LiveBlock(ia, ib, a.weights[ia], b.weights[ib], uniform, dist[0], dist[-1])
+
+
+def _live_costs(a, b, s: float, p: float, block: _LiveBlock | None):
+    """The live block (built unless passed) and its order-p costs, refused unless all finite."""
+    if not (p >= 1 and math.isfinite(p)):
+        raise ValueError("the transport order must be a finite p >= 1")
+    block = _live_block(a, b, s) if block is None else block
+    cost = block.hs**p
+    if not np.isfinite(cost).all():
+        raise ValueError("transport costs overflow float64")
+    return block, cost
 
 
 def _transport_lp(wa, wb, cost):
@@ -278,11 +283,8 @@ def wasserstein_p_exact(
     ``block``; the plan holds only the pairs that carry mass, and the value
     is priced over them.
     """
-    if not (p >= 1 and math.isfinite(p)):
-        raise ValueError("the transport order must be a finite p >= 1")
-    block = _live_block(a, b, s) if block is None else block
+    block, cost = _live_costs(a, b, s, p, block)
     wa, wb = block.wa, block.wb
-    cost = block.hs**p
     support = None
     if wa.size == wb.size:
         r, c = linear_sum_assignment(cost)
@@ -346,42 +348,35 @@ def wasserstein_p_entropic(
     """
     if epsilon is not None and not epsilon > 0:
         raise ValueError("regularisation must be positive")
-    if not (p >= 1 and math.isfinite(p)):
-        raise ValueError("the transport order must be a finite p >= 1")
-    block = _live_block(a, b, s) if block is None else block
+    block, cost = _live_costs(a, b, s, p, block)
     wa, wb = block.wa, block.wb
-    cost = block.hs**p
-    if not np.isfinite(cost).all():  # the annealing below would never end
-        raise ValueError("transport costs overflow float64")
     if epsilon is None:
         epsilon = max(0.01 * float(np.median(cost)), 1e-12)
     la, lb = np.log(wa), np.log(wb)
-    f = np.zeros(wa.size)
     g = np.zeros(wb.size)
 
     def sweep(eps: float):
-        f2 = eps * (la - logsumexp((g[None, :] - cost) / eps, axis=1))
-        g2 = eps * (lb - logsumexp((f2[:, None] - cost) / eps, axis=0))
-        log_plan = (f2[:, None] + g2[None, :] - cost) / eps
+        """From g alone: the next g, the log-plan, its row residual and whether g came back
+        unchanged (then every later sweep repeats this one, and none can converge)."""
+        f = eps * (la - logsumexp((g[None, :] - cost) / eps, axis=1))
+        g2 = eps * (lb - logsumexp((f[:, None] - cost) / eps, axis=0))
+        log_plan = (f[:, None] + g2[None, :] - cost) / eps
         rows = np.exp(logsumexp(log_plan, axis=1))
-        return f2, g2, log_plan, float(np.max(np.abs(rows - wa)))
+        return g2, log_plan, float(np.max(np.abs(rows - wa))), np.array_equal(g2, g, equal_nan=True)
 
     level = max(epsilon, 0.25 * float(np.ptp(cost)))
     while level > epsilon:
         for _ in range(50):
-            f, g, _, residual = sweep(level)
-            if residual < tol:
+            g, _, residual, fixed = sweep(level)
+            if residual < tol or fixed:
                 break
         level /= 2.0
-    residual = math.inf
-    iterations = 0
-    log_plan = None
-    for it in range(1, max_iter + 1):
-        iterations = it
-        f, g, log_plan, residual = sweep(epsilon)
-        if residual < tol:
+    residual, iterations = math.inf, 0
+    for iterations in range(1, max_iter + 1):
+        g, log_plan, residual, fixed = sweep(epsilon)
+        if residual < tol or fixed:
             break
-    else:
+    if not residual < tol:
         raise SinkhornConvergenceError(residual, iterations)
     rounded = _round_to_feasible(np.exp(log_plan), wa, wb)
     r, c = np.divmod(np.arange(rounded.size), rounded.shape[1])  # every entry, row-major

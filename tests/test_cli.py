@@ -578,3 +578,87 @@ def test_a_non_finite_result_names_the_command_and_field(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and _one_json_line(captured.err) == {
         "error": "numeric", "message": "non-finite value at inspect.mean_l2_sq"}
+
+
+@pytest.mark.parametrize("backend", ["exact", "entropic"])
+@pytest.mark.parametrize("other, s", [("b", "300"), ("c", "200")])
+def test_overflowing_costs_are_named_on_both_backends(tmp_path, capsys, other, s, backend):
+    # square (3 vs 3 draws) and rectangular (3 vs 5) pairs: the assignment
+    # and the LP refuse infinite costs with messages of their own
+    files = {}
+    for name, modes, n, seed in (("a", 4, 3, 0), ("b", 4, 3, 1), ("c", 12, 5, 0)):
+        files[name] = str(tmp_path / f"{name}.kdve")
+        assert cli_entry(["sample", "--measure", "gaussian", "--modes", str(modes), "--n", str(n),
+                          "--seed", str(seed), "--out", files[name]]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "dist"
+    argv = ["distance", "--a", files["a"], "--b", files[other], "--s", s, "--backend", backend,
+            "--out", str(out)]
+    assert cli_entry(argv) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_json_line(captured.err) == {
+        "error": "numeric", "message": "transport costs overflow float64"}
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_kdve_files(tmp_path_factory):
+    """Four tiny ensembles: uniform Gaussian ones of 3 and 5 draws, a weighted Gibbs one
+    with dead draws, and a one-draw field of large amplitude."""
+    root = tmp_path_factory.mktemp("tiny")
+    files = {}
+    for name, flags in (("g3", ["--modes", "4", "--n", "3"]),
+                        ("g5", ["--modes", "12", "--n", "5", "--seed", "1"]),
+                        ("gibbs", ["--measure", "gibbs", "--modes", "4", "--n", "12", "--seed", "2"])):
+        files[name] = str(root / f"{name}.kdve")
+        assert cli_entry(["sample", *flags, "--out", files[name]]) == EXIT_OK
+    files["big"] = str(root / "big.kdve")
+    write_ensemble(files["big"], WeightedEnsemble(np.array([[3e150 + 1e150j, 0, 2e150j]]),
+                                                  np.array([1.0])))
+    return files
+
+
+# values of a numeric distance flag: ordinary and extreme floats, their
+# negatives, non-finite and malformed text
+_flag_values = st.one_of(
+    st.floats(0, 10).map(repr), st.floats(0, 400).map(repr), st.floats(1e-300, 1e300).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "1", "-1", "1e999", "-0.0", "nan", "inf", "x", "", "1e-320"]),
+)
+
+
+def _distance_contract(captured, rc):
+    """Exit 0 with one JSON line on stdout, or a documented failure code with one on stderr."""
+    assert "Traceback" not in captured.err
+    if rc == EXIT_OK:
+        assert captured.err == "" and {"distance", "w_inf", "w_p"} <= set(_one_json_line(captured.out))
+    else:
+        assert rc in (EXIT_USAGE, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC)
+        payload = _one_json_line(captured.err)
+        assert captured.out == "" and set(payload) == {"error", "message"}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pair=st.sampled_from([("g3", "g3"), ("g3", "g5"), ("gibbs", "g3"), ("big", "g5")]),
+       s=_flag_values, p=_flag_values, backend=st.sampled_from(["exact", "entropic"]))
+def test_distance_on_generated_orders_and_regularities_keeps_the_contract(
+        tiny_kdve_files, capsys, pair, s, p, backend):
+    a, b = (tiny_kdve_files[name] for name in pair)
+    rc = cli_entry(["distance", "--a", a, "--b", b, "--s", s, "--p", p, "--backend", backend])
+    _distance_contract(capsys.readouterr(), rc)
+
+
+# The weighted Gibbs pair is not in this one: at a small epsilon its Sinkhorn
+# potentials drift by a fixed step per sweep, so a call spends all 20,000
+# sweeps (about 6 s) before it exits 5, within the contract but not the budget.
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pair=st.sampled_from([("g3", "g3"), ("g3", "g5"), ("big", "g5")]),
+       epsilon=_flag_values, s=st.sampled_from(["0", "0.25", "1"]), p=st.sampled_from(["1", "2", "3.5"]))
+def test_distance_on_generated_sinkhorn_epsilons_keeps_the_contract(
+        tiny_kdve_files, capsys, pair, epsilon, s, p):
+    a, b = (tiny_kdve_files[name] for name in pair)
+    rc = cli_entry(["distance", "--a", a, "--b", b, "--backend", "entropic", "--epsilon", epsilon,
+                    "--s", s, "--p", p])
+    _distance_contract(capsys.readouterr(), rc)

@@ -1,5 +1,5 @@
-"""No kdvlab module reaches into another module's private names, and only
-``kdve_io`` writes JSON or CSV files."""
+"""No kdvlab module reaches into another module's private names, only
+``kdve_io`` writes JSON or CSV files, and only ``spectral`` reads the norm factor."""
 
 import ast
 from pathlib import Path
@@ -129,3 +129,42 @@ def test_only_kdve_io_writes_json_or_csv():
     }
     assert found == {}
     assert sorted(writer_calls((PACKAGE / "kdve_io.py").read_text())) == ["csv.writer", "json.dump"]
+
+
+def norm_factor_reads(source: str) -> list[str]:
+    """``import``, ``name`` or ``attribute`` for every read of ``NORM_FACTOR`` the source makes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "NORM_FACTOR" for a in node.names):
+            found.append("import")
+        elif isinstance(node, ast.Name) and node.id == "NORM_FACTOR" and isinstance(node.ctx, ast.Load):
+            found.append("name")
+        elif isinstance(node, ast.Attribute) and node.attr == "NORM_FACTOR":
+            found.append("attribute")
+    return found
+
+
+def test_the_checker_flags_norm_factor_reads():
+    assert norm_factor_reads("from .spectral import NORM_FACTOR\nw = NORM_FACTOR * k\n") == [
+        "import", "name"]
+    assert norm_factor_reads("from kdvlab.spectral import NORM_FACTOR as nf\n") == ["import"]
+    assert norm_factor_reads("from . import spectral\nw = spectral.NORM_FACTOR\n") == ["attribute"]
+    assert norm_factor_reads("import kdvlab.spectral as sp\nsp.NORM_FACTOR * 2\n") == ["attribute"]
+    clean = (
+        "NORM_FACTOR = 4.0 / np.pi\n"
+        "from .spectral import hs_weights\n"
+        "w = hs_weights(m, s)\n"
+        "norm_factor = 1.0\n"
+    )
+    assert norm_factor_reads(clean) == []
+
+
+def test_only_spectral_reads_the_norm_factor():
+    found = {
+        path.name: reads
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "spectral" and (reads := norm_factor_reads(path.read_text()))
+    }
+    assert found == {}
+    # within spectral, hs_weights is the one reader: every H^s weight is its
+    assert norm_factor_reads((PACKAGE / "spectral.py").read_text()) == ["name"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kdvlab.measures import GaussianSpec, GibbsSpec, WeightedEnsemble, sample_gibbs
 from kdvlab.spectral import (
     MODE_TO_EXP,
     NORM_FACTOR,
@@ -17,6 +18,7 @@ from kdvlab.spectral import (
     sobolev_norms_many,
     zero_field,
 )
+from kdvlab.transport import cost_matrix
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -64,6 +66,17 @@ def test_sobolev_norm_examples():
     assert sobolev_norm(zero_field(4), 0.7) == 0.0
     with pytest.raises(ValueError):
         sobolev_norm(cosine_mode(1), -0.1)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.25, 1.0])
+def test_a_norm_is_the_distance_to_zero_bit_for_bit(s):
+    ens, _ = sample_gibbs(GibbsSpec(base=GaussianSpec(n_modes=16, seed=0)), 2048)
+    zero = WeightedEnsemble(zero_field(1).modes[None], [1.0])
+    distance = cost_matrix(ens, zero, s, 1.0)[:, 0]
+    assert np.array_equal(sobolev_norms_many(ens.coeffs, s), distance)
+    # a column-major copy of the same draws gives the same bits
+    assert np.array_equal(sobolev_norms_many(np.asfortranarray(ens.coeffs), s), distance)
+    assert sobolev_norm(ens.field(7), s) == distance[7]
 
 
 def test_linf_norm_examples():
@@ -195,7 +208,8 @@ def test_scalar_views_equal_the_scalar_formulas():
         for _ in range(5):
             u = random_field(rng, m)
             for s in (0.0, 0.25, 0.45, 1.0):
-                want = float(np.sqrt(NORM_FACTOR * np.sum(k ** (2 * s) * np.abs(u.modes) ** 2)))
+                squares = u.modes.real**2 + u.modes.imag**2
+                want = float(np.sqrt(np.sum(NORM_FACTOR * k ** (2 * s) * squares)))
                 assert sobolev_norm(u, s) == want
             assert np.array_equal(evaluate(u), scalar_evaluate(u, default))
             n = 2 * m + 1 + int(rng.integers(0, 9))

@@ -10,7 +10,7 @@ from conftest import dense_plan
 from kdvlab import transport
 from kdvlab.flow import SolverConfig, evolve_many
 from kdvlab.measures import WeightedEnsemble
-from kdvlab.spectral import cosine_mode, sobolev_norm
+from kdvlab.spectral import cosine_mode, hs_weights, sobolev_norm
 from kdvlab.transport import (
     _MASS_EPS,
     SinkhornConvergenceError,
@@ -689,7 +689,7 @@ def test_distance_kernel_holds_two_real_buffers_per_block(n):
 
 def complex_difference_distances(xa, xb, s):
     """H^s distances from each row's complex difference, the arithmetic the kernel must keep."""
-    w = transport._hs_weights(xa.shape[1], s)
+    w = hs_weights(xa.shape[1], s)
     rows = []
     for x in xa:
         d = x - xb
@@ -713,7 +713,7 @@ def test_in_place_kernel_has_the_bits_of_the_complex_difference():
         a, b = (WeightedEnsemble(x, np.full(len(x), 1.0 / len(x))) for x in (xa, xb))
         got = transport._pair_distances(a, b, rows, cols, 0.25)
         d = xa[rows] - xb[cols]
-        want = np.sqrt(np.sum(transport._hs_weights(k, 0.25) * (d.real**2 + d.imag**2), axis=-1))
+        want = np.sqrt(np.sum(hs_weights(k, 0.25) * (d.real**2 + d.imag**2), axis=-1))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -1175,3 +1175,12 @@ def test_a_cut_that_cannot_raise_the_threshold_stops_the_search(monkeypatch):
         monkeypatch.setattr(transport, "_cut_threshold", stuck)
         with pytest.raises(RuntimeError, match="bottleneck feasibility"):
             wasserstein_inf(a, b)
+
+
+def test_sinkhorn_stops_where_its_potentials_stop_moving():
+    # at epsilon = 1e-300 the potentials lose every bit that the plan needs: a
+    # sweep gives back the g it started from, and no later sweep can converge
+    a, b = uniform_ensemble(3, 4, 0), uniform_ensemble(5, 4, 1)
+    with pytest.raises(SinkhornConvergenceError) as failed, np.errstate(over="ignore"):
+        wasserstein_p_entropic(a, b, 0.25, 2.0, epsilon=1e-300)
+    assert failed.value.iterations < 10
