@@ -24,6 +24,7 @@ from .experiments import (
     load_config,
     run_and_write,
 )
+from . import flow
 from .flow import FlowDivergenceError, SolverConfig, conserved_report, trajectory
 from .kdve_io import (KdveFormatError, read_ensemble, require_finite, write_ensemble, write_json,
                       write_rows)
@@ -35,7 +36,7 @@ from .measures import (
     sample_gaussian,
     sample_gibbs,
 )
-from .spectral import cosine_mode, linf_norm, sine_mode, zero_field
+from .spectral import cosine_mode, linf_norms_many, sine_mode, squared_norms_many, zero_field
 from .transport import (
     SinkhornConvergenceError,
     TransportSolveError,
@@ -108,6 +109,8 @@ _finite_positive = _checked(float, lambda v: 0 < v < math.inf, "finite positive 
 _regularity = _checked(float, lambda v: 0 <= v < math.inf, "finite float >= 0")
 _order = _checked(float, lambda v: 1 <= v < math.inf, "finite float >= 1")
 _solver_modes = _usage_type(lambda text: SolverConfig(n_modes=int(text)).n_modes)
+# every sample costs at least one step; flow.MAX_STEPS is read at parse time
+_samples = _checked(int, lambda v: 0 < v <= flow.MAX_STEPS, "positive int <= flow.MAX_STEPS")
 
 
 def _fail(kind: str, message: str, code: int) -> int:
@@ -162,7 +165,7 @@ def _cmd_solve(args) -> dict:
     times = np.linspace(args.t / args.samples, args.t, args.samples)
     traj = trajectory(init, times, cfg)
     drift = conserved_report(traj)
-    rows = list(zip(traj.times, traj.l2_norms, traj.hamiltonians, map(linf_norm, traj.states),
+    rows = list(zip(traj.times, traj.l2_norms, traj.hamiltonians, linf_norms_many(traj.coeffs),
                     traj.means))
     report = {
         "l2_rel_drift": drift.l2_rel_drift,
@@ -228,8 +231,8 @@ def _cmd_inspect(args) -> dict:
         "modes": ens.n_modes,
         "resampled": ens.resampled,
         "effective_sample_size": ens.effective_sample_size(),
-        "mean_l2_sq": float(np.sum(ens.weights * ens.l2_norms() ** 2)),
-        "mean_hs_sq_s0.25": float(np.sum(ens.weights * ens.hs_norms(0.25) ** 2)),
+        "mean_l2_sq": float(np.sum(ens.weights * squared_norms_many(ens.coeffs, 0.0))),
+        "mean_hs_sq_s0.25": float(np.sum(ens.weights * squared_norms_many(ens.coeffs, 0.25))),
     }
 
 
@@ -247,7 +250,7 @@ def build_parser() -> _Parser:
     p_solve.add_argument("--dt", type=_finite_positive, default=None)
     p_solve.add_argument("--t", type=_finite_positive, required=True)
     p_solve.add_argument("--init", type=str, required=True)
-    p_solve.add_argument("--samples", type=_positive_int, default=20)
+    p_solve.add_argument("--samples", type=_samples, default=20)
     p_solve.add_argument("--out", type=str, default="runs/solve")
 
     p_sample = sub.add_parser("sample", help="draw an ensemble, write a .kdve file")

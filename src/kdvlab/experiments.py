@@ -36,7 +36,7 @@ from .measures import (
     tail_fit,
 )
 from .rng import derive_seed
-from .spectral import cosine_mode, hs_weights, integral_u3_many, sobolev_norm
+from .spectral import cosine_mode, hs_weights, integral_u3_many, sobolev_norm, squared_norms_many
 from .transport import combined_metric_parts, plan_cost
 
 
@@ -492,8 +492,8 @@ def _run_invariance_nonlinear(cfg: ExperimentConfig) -> ExperimentReport:
     t_star = cfg.time_grid[-1]
     pushed = pushforward(ens, t_star, solver)
 
-    l2_sq0 = ens.l2_norms() ** 2
-    l2_sq1 = pushed.l2_norms() ** 2
+    l2_sq0 = squared_norms_many(ens.coeffs, 0.0)
+    l2_sq1 = squared_norms_many(pushed.coeffs, 0.0)
     # dead draws weigh nothing, but the bootstrap resamples every index: price
     # the cubic on the live rows and keep zeros in the full-length layout
     live = ens.weights > 0

@@ -30,9 +30,9 @@ from .spectral import (
     TorusField,
     alias_free_points,
     fit_modes,
-    hamiltonian,
+    hamiltonian_many,
     linf_norms_many,
-    sobolev_norm,
+    sobolev_norms_many,
 )
 
 
@@ -54,9 +54,9 @@ class SolverConfig:
     ``dt=None`` selects the amplitude-aware default
     min(1e-3, 0.5 / (n_modes * (1 + |u0|_inf))); any step is accepted as
     long as it stays below the stability limit 2 / (n_modes * (1 + |u0|_inf)).
-    Experiment configs set them by their ``solver_modes`` and ``dt`` keys
-    and report a ``ValueError`` from the constructor's checks as a config
-    error.
+    ``ExperimentConfig.solver()`` builds an experiment's from its ``dt`` and
+    its ``solver_modes`` (``invariance_nonlinear`` reads ``modes``), and a
+    ``ValueError`` from the constructor's checks is a config error.
     """
 
     n_modes: int = 64
@@ -220,35 +220,26 @@ def evolve_many(coeffs: np.ndarray, t: float, cfg: SolverConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled flow history with the conserved-quantity log."""
+    """Sampled flow history with the conserved-quantity log; row i of ``coeffs`` is at times[i]."""
 
     times: np.ndarray
-    states: list[TorusField]
-    means: np.ndarray
+    coeffs: np.ndarray  # (samples, n_modes) amplitudes on the solver's modes
+    means: np.ndarray  # zeros: the zero mode is structurally absent
     l2_norms: np.ndarray
     hamiltonians: np.ndarray
 
-    def __post_init__(self):
-        if len(self.states) != self.times.size or self.times.size == 0:
-            raise ValueError("trajectory needs one state per sample time")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-
 
 def trajectory(u0: TorusField, times, cfg: SolverConfig) -> Trajectory:
-    """Integrate u0 through the given strictly increasing sample times."""
-    times = np.asarray(list(times), dtype=np.float64)
-    states: list[TorusField] = []
-    state = u0
-    t_prev = 0.0
-    for t in times:
-        state = evolve(state, float(t) - t_prev, cfg)
-        t_prev = float(t)
-        states.append(state)
-    l2 = np.array([sobolev_norm(s, 0.0) for s in states])
-    ham = np.array([hamiltonian(s) for s in states])
-    means = np.zeros_like(l2)  # the zero mode is structurally absent
-    return Trajectory(times=times, states=states, means=means, l2_norms=l2, hamiltonians=ham)
+    """Step one array state by :func:`evolve_many` through strictly increasing times, checked first."""
+    times = np.fromiter(times, dtype=np.float64)
+    if times.size == 0 or not np.all(np.diff(times) > 0):
+        raise ValueError("sample times must be nonempty and strictly increasing")
+    coeffs = np.empty((times.size, cfg.n_modes), dtype=np.complex128)
+    state = u0.modes
+    for i, span in enumerate(np.diff(times, prepend=0.0)):
+        state = coeffs[i] = evolve_many(state, float(span), cfg)[0]
+    l2 = sobolev_norms_many(coeffs, 0.0)
+    return Trajectory(times, coeffs, np.zeros_like(l2), l2, hamiltonian_many(coeffs))
 
 
 @dataclass(frozen=True)

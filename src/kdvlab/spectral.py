@@ -14,8 +14,8 @@ distance kernel, so it is the distance to 0, bit for bit.  A field is built
 from its amplitudes with ``TorusField`` itself, or from basis modes with
 ``cosine_mode`` and ``sine_mode``; ``fit_modes`` is the one rule that brings
 amplitudes to m modes, for fields, the flow, ensembles and transport alike.
-The norms, the cubic integral and the grid evaluation have batched forms
-over a (batch, M) amplitude array, and their one-field forms are views of those.
+The norms, their squares, the cubic integral, the energy and the grid evaluation
+are batched over a (batch, M) amplitude array; the one-field forms are views.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def hs_weights(m: int, s: float) -> np.ndarray:
     return NORM_FACTOR * k ** (2 * s)
 
 
-def _squared_norms(coeffs: np.ndarray, s: float) -> np.ndarray:
+def squared_norms_many(coeffs: np.ndarray, s: float) -> np.ndarray:
     """Squared H^s norms sum_k w_k (re_k^2 + im_k^2) of each row, in the distance kernel's order."""
     if s < 0:
         raise ValueError("regularity exponent must be >= 0")
@@ -141,7 +141,7 @@ def _squared_norms(coeffs: np.ndarray, s: float) -> np.ndarray:
 
 def sobolev_norms_many(coeffs: np.ndarray, s: float) -> np.ndarray:
     """H^s norms of each row of a (batch, M) amplitude array: each row's H^s distance to 0."""
-    return np.sqrt(_squared_norms(coeffs, s))
+    return np.sqrt(squared_norms_many(coeffs, s))
 
 
 def linf_norm(u: TorusField) -> float:
@@ -201,4 +201,9 @@ def integral_u3_many(coeffs: np.ndarray) -> np.ndarray:
 
 def hamiltonian(u: TorusField) -> float:
     """Energy functional H(u) = |d_x u|_{L2}^2 / 2 - (1/6) integral of u^3."""
-    return float(0.5 * _squared_norms(u.modes, 1.0) - integral_u3(u) / 6.0)
+    return float(hamiltonian_many(u.modes))
+
+
+def hamiltonian_many(coeffs: np.ndarray) -> np.ndarray:
+    """Energy functional H of each row of a (batch, M) amplitude array."""
+    return 0.5 * squared_norms_many(coeffs, 1.0) - integral_u3_many(coeffs) / 6.0

@@ -124,8 +124,11 @@ def test_exit_codes(tmp_path, capsys):
         assert set(payload) == {"error", "message"}
 
 
-def test_solve_rejects_nonpositive_samples(tmp_path, capsys):
-    for bad in ("0", "-3", "two"):
+def test_solve_rejects_nonpositive_samples(tmp_path, capsys, monkeypatch):
+    # every sample costs at least one step, so more samples than flow.MAX_STEPS
+    # (read when the flag is parsed) is a usage error too
+    monkeypatch.setattr(kdvlab.flow, "MAX_STEPS", 5)
+    for bad in ("0", "-3", "two", "6", str(10**12)):
         rc = cli_entry(["solve", "--t", "0.1", "--init", "c1", "--samples", bad,
                         "--out", str(tmp_path / "s")])
         assert rc == EXIT_USAGE
@@ -134,6 +137,9 @@ def test_solve_rejects_nonpositive_samples(tmp_path, capsys):
         payload = json.loads(captured.err)
         assert payload["error"] == "usage" and "--samples" in payload["message"]
     assert not (tmp_path / "s").exists()
+    rc = cli_entry(["solve", "--t", "0.001", "--init", "c1", "--samples", "5",
+                    "--out", str(tmp_path / "s")])
+    assert rc == EXIT_OK and "l2_rel_drift" in _one_json_line(capsys.readouterr().out)
 
 
 def test_bad_argument_values_are_usage_errors(tmp_path, capsys):
@@ -662,3 +668,41 @@ def test_distance_on_generated_sinkhorn_epsilons_keeps_the_contract(
     rc = cli_entry(["distance", "--a", a, "--b", b, "--backend", "entropic", "--epsilon", epsilon,
                     "--s", s, "--p", p])
     _distance_contract(capsys.readouterr(), rc)
+
+
+# values of solve's numeric flags, three in four of them ordinary. A valid run
+# from these is short: every ordinary --t is at most 1e-2 and every ordinary
+# --dt at least 1e-4, so a run takes at most 50 samples + 1e-2 / 1e-4 = 150
+# steps on at most 32 modes. Left out are only valid runs beyond that (many
+# modes, many samples, t/dt up to MAX_STEPS); every value that must be
+# refused is in.
+def _mostly(ordinary, refused):
+    return st.sampled_from([True, True, True, False]).flatmap(
+        lambda ok: ordinary if ok else st.sampled_from(refused))
+
+
+_refused_floats = ["0", "-1", "-0.0", "inf", "-inf", "nan", "1e300", "-1e300", "x", ""]
+_solve_t = _mostly(st.floats(1e-6, 1e-2).map(repr), _refused_floats + ["1e-320"])
+_solve_dt = st.one_of(st.none(), _mostly(st.floats(1e-4, 1.0).map(repr), _refused_floats + ["1e-300"]))
+_solve_modes = _mostly(st.integers(4, 32).map(str), ["0", "-4", "1", "2", "3", "inf", "1e300", "x"])
+_solve_samples = _mostly(st.integers(1, 50).map(str), ["0", "-1", str(MAX_STEPS + 1), str(10**12),
+                                                      "inf", "nan", "1e300", "1.5", "x"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(t=_solve_t, dt=_solve_dt, modes=_solve_modes, samples=_solve_samples,
+       init=st.sampled_from(["c1", "0.5*c2-0.25*s3", "1e100*c1"]))
+def test_solve_on_generated_numeric_flags_keeps_the_contract(
+        tmp_path, capsys, t, dt, modes, samples, init):
+    argv = ["solve", "--t", t, "--modes", modes, "--samples", samples, "--init", init,
+            "--out", str(tmp_path / "s")]
+    rc = cli_entry(argv + ([] if dt is None else ["--dt", dt]))
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if rc == EXIT_OK:
+        assert captured.err == "" and "l2_rel_drift" in _one_json_line(captured.out)
+    else:
+        assert rc in (EXIT_USAGE, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC)
+        payload = _one_json_line(captured.err)
+        assert captured.out == "" and set(payload) == {"error", "message"}

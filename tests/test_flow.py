@@ -17,6 +17,7 @@ from kdvlab.spectral import (
     alias_free_points,
     cosine_mode,
     fit_modes,
+    hamiltonian,
     linf_norms_many,
     sine_mode,
     sobolev_norm,
@@ -499,7 +500,25 @@ def test_lipschitz_probe_log_growth_bounded():
     assert np.max(np.abs(slopes)) < 10.0
 
 
-def test_trajectory_validation():
+def test_trajectory_validation(count_calls):
     cfg = SolverConfig(n_modes=8)
-    with pytest.raises(ValueError):
-        trajectory(cosine_mode(1), [0.2, 0.2], cfg)
+    steps = [count_calls(evolve), count_calls(evolve_many)]
+    for times in ([0.2, 0.2], [0.2, 0.1], [], [0.5, -1e9]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            trajectory(cosine_mode(1), times, cfg)
+    assert steps == [[], []]
+
+
+def test_trajectory_rows_carry_the_scalar_invariants():
+    # the c01 run: each batched column is the one-field quantity of its row, bit for bit
+    u0 = cosine_mode(1, 2) + 0.5 * cosine_mode(2)
+    traj = trajectory(u0, np.linspace(0.05, 1.0, 20), SolverConfig(n_modes=64, dt=1e-3))
+    assert traj.coeffs.shape == (20, 64)
+    rows = [TorusField(row) for row in traj.coeffs]
+    assert np.array_equal(traj.l2_norms, [sobolev_norm(u, 0.0) for u in rows])
+    assert np.array_equal(traj.hamiltonians, [hamiltonian(u) for u in rows])
+    # row 0 steps from u0 as evolve does, and a sample at t = 0 is u0 on the solver's modes
+    assert np.array_equal(traj.coeffs[0], evolve(u0, 0.05, SolverConfig(n_modes=64, dt=1e-3)).modes)
+    start = trajectory(u0, [0.0, 0.05], SolverConfig(n_modes=64, dt=1e-3))
+    assert np.array_equal(start.coeffs[0], u0.padded(64).modes)
+    assert np.array_equal(start.coeffs[1], traj.coeffs[0])

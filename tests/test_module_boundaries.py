@@ -1,5 +1,6 @@
 """No kdvlab module reaches into another module's private names, only
-``kdve_io`` writes JSON or CSV files, and only ``spectral`` reads the norm factor."""
+``kdve_io`` writes JSON or CSV files, only ``spectral`` reads the norm factor,
+and no module squares a norm."""
 
 import ast
 from pathlib import Path
@@ -168,3 +169,50 @@ def test_only_spectral_reads_the_norm_factor():
     assert found == {}
     # within spectral, hs_weights is the one reader: every H^s weight is its
     assert norm_factor_reads((PACKAGE / "spectral.py").read_text()) == ["name"]
+
+
+NORMS = {"sobolev_norms_many", "sobolev_norm", "l2_norms", "hs_norms"}
+
+
+def squared_norms(source: str) -> list[str]:
+    """The norm's name for every call of a norm the source raises to the literal power 2."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.Constant)
+            and node.right.value == 2
+            and isinstance(node.left, ast.Call)
+        ):
+            continue
+        func = node.left.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in NORMS:
+            found.append(name)
+    return found
+
+
+def test_the_checker_flags_squared_norms():
+    assert squared_norms("x = ens.l2_norms() ** 2\n") == ["l2_norms"]
+    assert squared_norms("x = ens.hs_norms(0.25) ** 2.0\n") == ["hs_norms"]
+    assert squared_norms("x = sobolev_norm(u, 1.0)**2\n") == ["sobolev_norm"]
+    assert squared_norms("x = spectral.sobolev_norms_many(c, s) ** 2\n") == ["sobolev_norms_many"]
+    clean = (
+        "x = squared_norms_many(c, 0.0)\n"
+        "x = ens.hs_norms(s) ** p\n"
+        "x = radii ** 2\n"
+        "x = np.abs(c) ** 2\n"
+        "x = ens.l2_norms() ** 3\n"
+    )
+    assert squared_norms(clean) == []
+
+
+def test_no_module_squares_a_norm():
+    # a squared norm is spectral.squared_norms_many, the sum the norm is the root of
+    found = {
+        path.name: calls
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (calls := squared_norms(path.read_text()))
+    }
+    assert found == {}

@@ -9,6 +9,7 @@ from kdvlab.spectral import (
     cosine_mode,
     evaluate,
     hamiltonian,
+    hamiltonian_many,
     integral_u3,
     integral_u3_many,
     linf_norm,
@@ -16,6 +17,7 @@ from kdvlab.spectral import (
     sine_mode,
     sobolev_norm,
     sobolev_norms_many,
+    squared_norms_many,
     zero_field,
 )
 from kdvlab.transport import cost_matrix
@@ -198,6 +200,23 @@ def scalar_evaluate(u, n):
     spec = np.zeros(n // 2 + 1, dtype=np.complex128)
     spec[1 : u.n_modes + 1] = u.modes * MODE_TO_EXP
     return np.fft.irfft(spec, n) * n
+
+
+def test_batched_invariants_carry_the_one_field_bits():
+    # each row of the batched energy is the one-field energy of that row, and
+    # each squared norm is the squared sum itself, whose root is the norm
+    rng = np.random.default_rng(43)
+    for m in range(1, 130):
+        rows = np.array([random_field(rng, m).modes for _ in range(3)])
+        energies = hamiltonian_many(rows)
+        assert energies.shape == (3,)
+        assert [float(e) for e in energies] == [hamiltonian(TorusField(row)) for row in rows]
+        k = np.arange(1, m + 1, dtype=np.float64)
+        for s in (0.0, 0.25, 1.0):
+            squares = squared_norms_many(rows, s)
+            want = [np.sum(NORM_FACTOR * k ** (2 * s) * (r.real**2 + r.imag**2)) for r in rows]
+            assert np.array_equal(squares, want)
+            assert np.array_equal(np.sqrt(squares), sobolev_norms_many(rows, s))
 
 
 def test_scalar_views_equal_the_scalar_formulas():
