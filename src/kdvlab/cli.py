@@ -10,6 +10,7 @@ result that is not a finite number).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -89,12 +90,12 @@ def _checked(kind, accept, what: str):
     return convert
 
 
-def _usage_type(parse):
-    """argparse type that reports the ValueError of parse as a usage error."""
+def _held(spec, kind, name: str):
+    """argparse type for the value ``spec`` holds as ``name``, checked by ``spec`` alone."""
 
     def convert(text: str):
         try:
-            return parse(text)
+            return getattr(spec(**{name: kind(text)}), name)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -102,13 +103,10 @@ def _usage_type(parse):
 
 
 _positive_int = _checked(int, lambda v: v > 0, "positive int")
-_positive_float = _checked(float, lambda v: v > 0, "positive float")
-_non_negative_int = _checked(int, lambda v: v >= 0, "non-negative int")
-_finite_float = _checked(float, math.isfinite, "finite float")
 _finite_positive = _checked(float, lambda v: 0 < v < math.inf, "finite positive float")
 _regularity = _checked(float, lambda v: 0 <= v < math.inf, "finite float >= 0")
 _order = _checked(float, lambda v: 1 <= v < math.inf, "finite float >= 1")
-_solver_modes = _usage_type(lambda text: SolverConfig(n_modes=int(text)).n_modes)
+_gibbs = functools.partial(GibbsSpec, GaussianSpec(1))
 # every sample costs at least one step; flow.MAX_STEPS is read at parse time
 _samples = _checked(int, lambda v: 0 < v <= flow.MAX_STEPS, "positive int <= flow.MAX_STEPS")
 
@@ -141,9 +139,7 @@ def parse_init(text: str, modes: int):
         coeff = float(coeff_s) if coeff_s else 1.0
         if sign == "-":
             coeff = -coeff
-        mode = int(idx)
-        if mode < 1:
-            raise ValueError("mode indices start at 1")
+        mode = int(idx)  # a mode below 1 is refused by cosine_mode or sine_mode
         high = mode > modes
         basis = (cosine_mode if kind == "c" else sine_mode)(1 if high else mode)
         if high:
@@ -161,9 +157,11 @@ def _cmd_solve(args) -> dict:
         init = parse_init(args.init, args.modes)
     except ValueError as exc:
         raise _UsageError(f"argument --init: {exc}") from None
-    cfg = SolverConfig(n_modes=args.modes, dt=args.dt)
-    times = np.linspace(args.t / args.samples, args.t, args.samples)
-    traj = trajectory(init, times, cfg)
+    try:  # a --t too small to space --samples distinct times
+        times = flow.sample_times(np.linspace(args.t / args.samples, args.t, args.samples))
+    except ValueError as exc:
+        raise _UsageError(f"argument --t: {args.t!r} cannot space {args.samples} samples: {exc}")
+    traj = trajectory(init, times, SolverConfig(n_modes=args.modes, dt=args.dt))
     drift = conserved_report(traj)
     rows = list(zip(traj.times, traj.l2_norms, traj.hamiltonians, linf_norms_many(traj.coeffs),
                     traj.means))
@@ -188,15 +186,10 @@ def _cmd_solve(args) -> dict:
 def _cmd_sample(args) -> dict:
     gauss = GaussianSpec(n_modes=args.modes, seed=args.seed)
     if args.measure == "gaussian":
-        ens = sample_gaussian(gauss, args.n)
-        kappa = None
+        ens, kappa = sample_gaussian(gauss, args.n), None
     else:
-        spec = GibbsSpec(
-            base=gauss,
-            cubic_coefficient=args.coeff,
-            cutoff_radius=args.cutoff,
-            projection=args.projection,
-        )
+        spec = GibbsSpec(gauss, cubic_coefficient=args.coeff, cutoff_radius=args.cutoff,
+                         projection=args.projection)
         ens, kappa = sample_gibbs(spec, args.n, resample=args.resample)
     write_ensemble(args.out, ens)
     return {"file": args.out, "n": ens.n, "modes": ens.n_modes, "kappa": kappa,
@@ -246,8 +239,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="integrate one initial state, write trajectory")
-    p_solve.add_argument("--modes", type=_solver_modes, default=64)
-    p_solve.add_argument("--dt", type=_finite_positive, default=None)
+    p_solve.add_argument("--modes", type=_held(SolverConfig, int, "n_modes"), default=64)
+    p_solve.add_argument("--dt", type=_held(SolverConfig, float, "dt"), default=None)
     p_solve.add_argument("--t", type=_finite_positive, required=True)
     p_solve.add_argument("--init", type=str, required=True)
     p_solve.add_argument("--samples", type=_samples, default=20)
@@ -255,12 +248,12 @@ def build_parser() -> _Parser:
 
     p_sample = sub.add_parser("sample", help="draw an ensemble, write a .kdve file")
     p_sample.add_argument("--measure", choices=["gaussian", "gibbs"], default="gaussian")
-    p_sample.add_argument("--modes", type=_positive_int, default=16)
+    p_sample.add_argument("--modes", type=_held(GaussianSpec, int, "n_modes"), default=16)
     p_sample.add_argument("--n", type=_positive_int, required=True)
     p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--cutoff", type=_positive_float, default=1.0)
-    p_sample.add_argument("--coeff", type=_finite_float, default=1.0 / 6.0)
-    p_sample.add_argument("--projection", type=_non_negative_int, default=None)
+    p_sample.add_argument("--cutoff", type=_held(_gibbs, float, "cutoff_radius"), default=1.0)
+    p_sample.add_argument("--coeff", type=_held(_gibbs, float, "cubic_coefficient"), default=1 / 6)
+    p_sample.add_argument("--projection", type=_held(_gibbs, int, "projection"), default=None)
     p_sample.add_argument("--resample", action="store_true")
     p_sample.add_argument("--out", type=str, required=True)
 

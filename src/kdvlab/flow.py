@@ -32,6 +32,7 @@ from .spectral import (
     fit_modes,
     hamiltonian_many,
     linf_norms_many,
+    projection_cutoff,
     sobolev_norms_many,
 )
 
@@ -198,10 +199,8 @@ def evolve_projected(u0: TorusField, t: float, n_band: int, cfg: SolverConfig) -
     between the low-mode ODE and the free high-mode evolution is respected
     at every step.
     """
-    if n_band > cfg.n_modes:
+    if projection_cutoff(n_band) > cfg.n_modes:
         raise ValueError("projection band exceeds the solver truncation")
-    if n_band < 0:
-        raise ValueError("projection band must be >= 0")
     out = _evolve_state(u0.modes, t, cfg, nl_band=n_band)
     return u0 if t == 0.0 else TorusField(out[0])
 
@@ -229,11 +228,17 @@ class Trajectory:
     hamiltonians: np.ndarray
 
 
-def trajectory(u0: TorusField, times, cfg: SolverConfig) -> Trajectory:
-    """Step one array state by :func:`evolve_many` through strictly increasing times, checked first."""
+def sample_times(times) -> np.ndarray:
+    """Times as a float array, refused unless nonempty and strictly increasing."""
     times = np.fromiter(times, dtype=np.float64)
     if times.size == 0 or not np.all(np.diff(times) > 0):
         raise ValueError("sample times must be nonempty and strictly increasing")
+    return times
+
+
+def trajectory(u0: TorusField, times, cfg: SolverConfig) -> Trajectory:
+    """Step one array state by :func:`evolve_many` through :func:`sample_times`, checked first."""
+    times = sample_times(times)
     coeffs = np.empty((times.size, cfg.n_modes), dtype=np.complex128)
     state = u0.modes
     for i, span in enumerate(np.diff(times, prepend=0.0)):

@@ -39,7 +39,7 @@ class GaussianSpec:
 
     def __post_init__(self):
         if self.n_modes < 1:
-            raise ValueError("sampler needs at least one mode")
+            raise ValueError(f"sampler needs at least one mode, got n_modes={self.n_modes}")
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,13 @@ class GibbsSpec:
 
     def __post_init__(self):
         if not self.cutoff_radius > 0:
-            raise ValueError("cutoff radius must be positive")
+            raise ValueError(f"cutoff radius must be positive, got cutoff_radius={self.cutoff_radius}")
         if not math.isfinite(self.cubic_coefficient):
-            raise ValueError("cubic coefficient must be finite")
-        if self.projection is not None and self.projection < 0:
-            raise ValueError("projection cutoff must be >= 0")
+            raise ValueError(
+                f"cubic coefficient must be finite, got cubic_coefficient={self.cubic_coefficient}"
+            )
+        if self.projection is not None:
+            spectral.projection_cutoff(self.projection)
 
 
 class WeightedEnsemble:
@@ -122,6 +124,8 @@ class WeightedEnsemble:
 
 
 def _gaussian_coeffs(spec: GaussianSpec, n: int) -> np.ndarray:
+    if n < 1:  # the draw count of every sampler
+        raise ValueError("need at least one sample")
     m = spec.n_modes
     z = np.empty((n, 2 * m))
     for row, gen in zip(z, substreams(spec.seed, range(n))):
@@ -139,17 +143,13 @@ def sample_gaussian(spec: GaussianSpec, n: int) -> WeightedEnsemble:
     what a generator built per sample would, so results are identical
     regardless of how the draw loop is scheduled.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
     return WeightedEnsemble(_gaussian_coeffs(spec, n), np.full(n, 1.0 / n))
 
 
 def expected_hs_norm_sq(n_modes: int, s: float) -> float:
     """Closed-form E |phi|_{H^s}^2 = 2 sum_{n<=M} n^{2s-2}, valid for s < 1/2."""
-    if s >= 0.5:
-        raise ValueError("second moment formula requires s < 1/2")
-    if s < 0:
-        raise ValueError("regularity exponent must be >= 0")
+    if not 0 <= s < 0.5:
+        raise ValueError("second moment formula requires 0 <= s < 1/2")
     n = np.arange(1, n_modes + 1, dtype=np.float64)
     return float(2.0 * np.sum(n ** (2 * s - 2)))
 
@@ -178,8 +178,6 @@ def sample_gibbs(spec: GibbsSpec, n: int, resample: bool = False) -> tuple[Weigh
     ``resample=True`` the ensemble is multinomially resampled back to uniform
     weights (recorded in ``resampled`` and the file flags).
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
     coeffs = _gaussian_coeffs(spec.base, n)
     raw = _gibbs_weights_raw(coeffs, spec)
     total = raw.sum()

@@ -87,22 +87,22 @@ def zero_field(m: int = 1) -> TorusField:
     return TorusField(np.zeros(m, dtype=np.complex128))
 
 
-def cosine_mode(n: int, m: int | None = None) -> TorusField:
-    """The basis field c_n = cos(nx)/sqrt(pi), optionally padded to m modes."""
+def _basis_field(n: int, m: int | None, amplitude: complex) -> TorusField:
     if n < 1:
         raise ValueError("mode index must be >= 1")
     out = np.zeros(m if m is not None else n, dtype=np.complex128)
-    out[n - 1] = BASIS_TO_MODE
+    out[n - 1] = amplitude
     return TorusField(out)
+
+
+def cosine_mode(n: int, m: int | None = None) -> TorusField:
+    """The basis field c_n = cos(nx)/sqrt(pi), optionally padded to m modes."""
+    return _basis_field(n, m, BASIS_TO_MODE)
 
 
 def sine_mode(n: int, m: int | None = None) -> TorusField:
     """The basis field s_n = sin(nx)/sqrt(pi)."""
-    if n < 1:
-        raise ValueError("mode index must be >= 1")
-    out = np.zeros(m if m is not None else n, dtype=np.complex128)
-    out[n - 1] = -1j * BASIS_TO_MODE
-    return TorusField(out)
+    return _basis_field(n, m, -1j * BASIS_TO_MODE)
 
 
 def evaluate(u: TorusField, n: int | None = None) -> np.ndarray:
@@ -127,14 +127,14 @@ def sobolev_norm(u: TorusField, s: float) -> float:
 
 def hs_weights(m: int, s: float) -> np.ndarray:
     """Weights w_k = NORM_FACTOR k^{2s}, k = 1..m, of |u|_{H^s}^2 = sum_k w_k |u_hat(k)|^2."""
+    if not s >= 0:
+        raise ValueError("regularity exponent must be >= 0")
     k = np.arange(1, m + 1, dtype=np.float64)
     return NORM_FACTOR * k ** (2 * s)
 
 
 def squared_norms_many(coeffs: np.ndarray, s: float) -> np.ndarray:
     """Squared H^s norms sum_k w_k (re_k^2 + im_k^2) of each row, in the distance kernel's order."""
-    if s < 0:
-        raise ValueError("regularity exponent must be >= 0")
     x = np.ascontiguousarray(coeffs)  # the kernel, too, sums over a contiguous last axis
     return np.sum(hs_weights(x.shape[-1], s) * (x.real**2 + x.imag**2), axis=-1)
 
@@ -159,12 +159,17 @@ def linf_norms_many(coeffs: np.ndarray) -> np.ndarray:
     return np.max(np.abs(evaluate_many(coeffs, n)), axis=-1)
 
 
+def projection_cutoff(n_keep: int) -> int:
+    """The cutoff of a projection onto modes k <= n_keep, for fields and Gibbs weights alike."""
+    if n_keep < 0:
+        raise ValueError(f"projection cutoff must be >= 0, got {n_keep}")
+    return n_keep
+
+
 def project(u: TorusField, n_keep: int) -> TorusField:
     """Orthogonal projection onto modes k <= n_keep (idempotent)."""
-    if n_keep < 0:
-        raise ValueError("projection cutoff must be >= 0")
     out = np.array(u.modes)
-    out[n_keep:] = 0.0
+    out[projection_cutoff(n_keep):] = 0.0
     return TorusField(out)
 
 

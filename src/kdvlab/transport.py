@@ -143,8 +143,6 @@ def _distance_matrices(xa: np.ndarray, xb: np.ndarray, exponents) -> list[np.nda
     every s, so ties give exact zeros and every s costs one weighted sum.
     The two real block buffers are allocated once and reused by every block.
     """
-    if min(exponents) < 0:
-        raise ValueError("regularity exponent must be >= 0")
     (n, k), m = xa.shape, xb.shape[0]
     weights = [hs_weights(k, s) for s in exponents]
     out = [np.empty((n, m)) for _ in exponents]
@@ -179,6 +177,12 @@ def _pair_distances(a: WeightedEnsemble, b: WeightedEnsemble, rows, cols, s: flo
     return out
 
 
+def _require_order(p: float) -> None:
+    """The one transport-order rule: every W_p, cost and plan price needs a finite p >= 1."""
+    if not (p >= 1 and math.isfinite(p)):
+        raise ValueError("the transport order must be a finite p >= 1")
+
+
 def cost_matrix(a: WeightedEnsemble, b: WeightedEnsemble, s: float, p: float) -> np.ndarray:
     """H^s distances to the power p between all support pairs, as an (n, m) array.
 
@@ -186,8 +190,7 @@ def cost_matrix(a: WeightedEnsemble, b: WeightedEnsemble, s: float, p: float) ->
     This is the dense matrix over every draw, dead ones included; the
     solvers build distances on the live block instead.
     """
-    if not p >= 1:
-        raise ValueError("the transport order must satisfy p >= 1")
+    _require_order(p)
     return _distance_matrices(*_gathered(a, b, slice(None), slice(None)), (s,))[0] ** p
 
 
@@ -218,8 +221,7 @@ def _live_block(a: WeightedEnsemble, b: WeightedEnsemble, s: float) -> _LiveBloc
 
 def _live_costs(a, b, s: float, p: float, block: _LiveBlock | None):
     """The live block (built unless passed) and its order-p costs, refused unless all finite."""
-    if not (p >= 1 and math.isfinite(p)):
-        raise ValueError("the transport order must be a finite p >= 1")
+    _require_order(p)
     block = _live_block(a, b, s) if block is None else block
     cost = block.hs**p
     if not np.isfinite(cost).all():
@@ -346,8 +348,8 @@ def wasserstein_p_entropic(
     cost (at least 1e-12); ``EntropicResult.epsilon`` reports the one used.
     The costs come from the live block, as in :func:`wasserstein_p_exact`.
     """
-    if epsilon is not None and not epsilon > 0:
-        raise ValueError("regularisation must be positive")
+    if epsilon is not None and not 0 < epsilon < math.inf:
+        raise ValueError("regularisation must be finite and positive")
     block, cost = _live_costs(a, b, s, p, block)
     wa, wb = block.wa, block.wb
     if epsilon is None:
@@ -638,6 +640,7 @@ def plan_cost(
     distance at t is computed from, each plan is one of the couplings that
     distance minimises over, so each bound dominates it by construction.
     """
+    _require_order(p)
     inf_plan = plan if inf_plan is None else inf_plan
     dist_hs = _pair_distances(a_t, b_t, plan.rows, plan.cols, s)
     dist_l2 = _pair_distances(a_t, b_t, inf_plan.rows, inf_plan.cols, 0.0)
@@ -658,6 +661,7 @@ def write_plan_csv(
     corresponding entries of :func:`cost_matrix`; mass and cost are written
     as the shortest decimal that reads back to the same double.
     """
+    _require_order(p)
     cost = _pair_distances(a, b, plan.rows, plan.cols, s) ** p
     write_rows(path, ["i", "j", "mass", "cost"], zip(plan.rows, plan.cols, plan.mass, cost))
 

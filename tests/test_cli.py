@@ -124,6 +124,19 @@ def test_exit_codes(tmp_path, capsys):
         assert set(payload) == {"error", "message"}
 
 
+def test_a_time_too_small_to_space_the_samples_is_a_usage_error(tmp_path, capsys):
+    # linspace(t/3, t, 3) of a subnormal t repeats a time; flow refuses the times
+    argv = ["solve", "--t", "5e-324", "--samples", "3", "--modes", "8", "--init", "c1",
+            "--out", str(tmp_path / "s")]
+    assert cli_entry(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = _one_json_line(captured.err)
+    assert payload["error"] == "usage" and "--t" in payload["message"], payload
+    assert not (tmp_path / "s").exists()
+    assert cli_entry(argv[:4] + ["1"] + argv[5:]) == EXIT_OK  # one sample needs no spacing
+
+
 def test_solve_rejects_nonpositive_samples(tmp_path, capsys, monkeypatch):
     # every sample costs at least one step, so more samples than flow.MAX_STEPS
     # (read when the flag is parsed) is a usage error too
@@ -155,10 +168,15 @@ def test_bad_argument_values_are_usage_errors(tmp_path, capsys):
         ("--dt", solve + ["--init", "c1", "--dt", "0"]),
         ("--t", ["solve", "--init", "c1", "--t", "0", "--out", str(tmp_path / "s")]),
         ("--t", ["solve", "--init", "c1", "--t", "-0.5", "--out", str(tmp_path / "s")]),
+        ("--dt", solve + ["--init", "c1", "--dt", "nan"]),
         ("--n", sample + ["--n", "0"]),
+        ("--modes", sample + ["--n", "8", "--modes", "0"]),
         ("--cutoff", sample + ["--n", "8", "--measure", "gibbs", "--cutoff", "-1"]),
+        ("--cutoff", gibbs + ["--cutoff", "0"]),
+        ("--cutoff", gibbs + ["--cutoff", "nan"]),
         ("--coeff", gibbs + ["--coeff", "inf"]),
         ("--coeff", gibbs + ["--coeff", "nan"]),
+        ("--projection", gibbs + ["--projection", "-1"]),
         ("--threads", experiment + ["--threads", "0"]),
         ("--threads", experiment + ["--threads", "-1"]),
         ("--no-dealias", solve + ["--init", "c1", "--no-dealias"]),  # the grid has no switch
@@ -179,7 +197,8 @@ def test_bad_argument_values_are_usage_errors(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "numeric"
 
 
-@pytest.mark.parametrize("flag, value", [("--t", "nan"), ("--t", "inf"), ("--dt", "inf")])
+@pytest.mark.parametrize("flag, value", [("--t", "nan"), ("--t", "inf"), ("--dt", "inf"),
+                                         ("--dt", "nan")])
 def test_non_finite_time_or_step_is_a_usage_error(tmp_path, capsys, flag, value):
     argv = ["solve", "--init", "c1", "--modes", "8", "--out", str(tmp_path / "s")]
     argv += [flag, value] if flag == "--t" else ["--t", "0.1", flag, value]
@@ -274,6 +293,9 @@ def test_vanishing_perturbation_is_a_config_error(tmp_path, capsys, experiment):
                  id="zero-perturbation-mode"),
     pytest.param("experiment = continuity\ncutoff_radius = -1\n", "cutoff_radius",
                  id="negative-cutoff-radius"),
+    pytest.param("experiment = continuity\ncutoff_radius = 0\n", "cutoff_radius",
+                 id="zero-cutoff-radius"),
+    pytest.param("experiment = continuity\nmodes = 0\n", "modes", id="zero-modes"),
     pytest.param("experiment = galerkin\nmeasure = gaussian\nprojection_grid = 8, 32\n",
                  "projection_grid", id="projection-above-solver-modes"),
     pytest.param("experiment = galerkin\nmeasure = gaussian\nprojection_grid = 0, 8\n",
@@ -702,6 +724,40 @@ def test_solve_on_generated_numeric_flags_keeps_the_contract(
     assert "Traceback" not in captured.err
     if rc == EXIT_OK:
         assert captured.err == "" and "l2_rel_drift" in _one_json_line(captured.out)
+    else:
+        assert rc in (EXIT_USAGE, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC)
+        payload = _one_json_line(captured.err)
+        assert captured.out == "" and set(payload) == {"error", "message"}
+
+
+# values of sample's numeric flags, three in four of them ordinary, and the
+# extremes each flag must refuse or survive. A valid draw from these is small:
+# every ordinary --n is at most 64 and every ordinary --modes at most 32, so
+# a call draws at most 64 x 32 amplitudes. Left out are only valid draws
+# beyond that bound; every value that must be refused is in.
+_sample_n = _mostly(st.integers(1, 64).map(str), ["0", "-1", "inf", "nan", "1e300", "1.5", "x"])
+_sample_modes = _mostly(st.integers(1, 32).map(str), ["0", "-4", "inf", "nan", "1e300", "x", ""])
+_sample_cutoff = _mostly(st.floats(0.1, 10).map(repr),
+                         ["0", "-1", "-0.0", "nan", "inf", "-inf", "1e300", "1e-320", "x"])
+_sample_coeff = _mostly(st.floats(-1, 1).map(repr),
+                        ["0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "x"])
+_sample_projection = st.one_of(st.none(), _mostly(st.integers(0, 40).map(str),
+                                                  ["0", "-1", "nan", "inf", "1e300", "1.5", "x"]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=_sample_n, modes=_sample_modes, cutoff=_sample_cutoff, coeff=_sample_coeff,
+       projection=_sample_projection, measure=st.sampled_from(["gaussian", "gibbs"]))
+def test_sample_on_generated_numeric_flags_keeps_the_contract(
+        tmp_path, capsys, n, modes, cutoff, coeff, projection, measure):
+    argv = ["sample", "--measure", measure, "--n", n, "--modes", modes, "--cutoff", cutoff,
+            "--coeff", coeff, "--out", str(tmp_path / "e.kdve")]
+    rc = cli_entry(argv + ([] if projection is None else ["--projection", projection]))
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if rc == EXIT_OK:
+        assert captured.err == "" and "effective_sample_size" in _one_json_line(captured.out)
     else:
         assert rc in (EXIT_USAGE, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC)
         payload = _one_json_line(captured.err)

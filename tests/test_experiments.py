@@ -252,16 +252,23 @@ def test_a_zero_step_moves_no_draw():
 
 
 def test_continuity_small_structure():
-    cfg = parse_config_text(
+    shifted = parse_config_text(
         "experiment = continuity\nmeasure = gibbs\nmodes = 8\nensemble_size = 64\n"
         "solver_modes = 24\ntime_grid = 0.2, 0.4\nseed = 3\n"
     )
-    rep = run_continuity(cfg)
-    assert rep.series[0]["ratio"] == 1.0
-    assert rep.summary["bound_dominates"] is True
-    for row in rep.series:
-        assert row["bound_combined"] >= row["combined"] - 1e-12
-        assert math.isfinite(row["ratio"])
+    # a resampled perturbation shares no weights with its base, so its pairs run the LP
+    resampled = parse_config_text(
+        "experiment = continuity\nmeasure = gibbs\nmodes = 8\nensemble_size = 64\n"
+        "solver_modes = 16\ntime_grid = 0.05, 0.1\nperturbation = resample\nseed = 1\n"
+    )
+    for cfg in (shifted, resampled):
+        rep = run_continuity(cfg)
+        assert rep.series[0]["ratio"] == 1.0
+        assert rep.summary["bound_dominates"] is True
+        assert all(math.isfinite(v) for v in rep.summary.values() if isinstance(v, float))
+        for row in rep.series:
+            assert row["bound_combined"] >= row["combined"] - 1e-12
+            assert math.isfinite(row["ratio"])
 
 
 def test_continuity_identical_ensembles_zero():

@@ -57,8 +57,9 @@ def test_expected_hs_norm_sq_values():
     for n in range(1, 17):
         total += 2.0 * n**-2.0
     assert expected_hs_norm_sq(16, 0.0) == pytest.approx(total, abs=1e-14)
-    with pytest.raises(ValueError):
-        expected_hs_norm_sq(4, 0.5)
+    for s in (0.5, -0.1, np.nan):  # the closed form's range is 0 <= s < 1/2
+        with pytest.raises(ValueError, match="0 <= s < 1/2"):
+            expected_hs_norm_sq(4, s)
 
 
 def test_expected_hs_norm_monotone_in_truncation():

@@ -1,6 +1,6 @@
 """No kdvlab module reaches into another module's private names, only
 ``kdve_io`` writes JSON or CSV files, only ``spectral`` reads the norm factor,
-and no module squares a norm."""
+no module squares a norm, and each input rule is raised at one site."""
 
 import ast
 from pathlib import Path
@@ -216,3 +216,79 @@ def test_no_module_squares_a_norm():
         if (calls := squared_norms(path.read_text()))
     }
     assert found == {}
+
+
+# a phrase every statement of an input rule carries -> the one function that raises it
+RULES = {
+    "regularity exponent": "spectral.hs_weights",
+    "transport order": "transport._require_order",
+    "regularisation": "transport.wasserstein_p_entropic",
+    "cutoff radius": "measures.GibbsSpec.__post_init__",
+    "cubic coefficient": "measures.GibbsSpec.__post_init__",
+    "sampler needs": "measures.GaussianSpec.__post_init__",
+    "projection cutoff": "spectral.projection_cutoff",
+    "at least one sample": "measures._gaussian_coeffs",
+    "mode index": "spectral._basis_field",
+}
+
+
+def _text(node) -> str:
+    """The literal text of a string or f-string expression, '' for any other."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_text(part) for part in node.values)
+    return ""
+
+
+def rule_raises(source: str, phrase: str) -> list[str]:
+    """The function or method around each ``raise ValueError`` whose message carries phrase.
+
+    ``ExperimentConfig`` raises ``ConfigError`` for the values the library
+    checks only when it runs (s, p, epsilon); those are the config's own
+    statements, not a second raise site of the library's rule.
+    """
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            exc = child.exc if isinstance(child, ast.Raise) else None
+            if (isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "ValueError"
+                    and exc.args and phrase in _text(exc.args[0])):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_the_checker_finds_each_raise_of_a_rule():
+    source = (
+        "def f(p):\n"
+        "    if p < 1:\n"
+        "        raise ValueError('the transport order must satisfy p >= 1')\n"
+        "class Spec:\n"
+        "    def __post_init__(self):\n"
+        "        raise ValueError(f'transport order {self.p} is not finite')\n"
+        "def g(p):\n"
+        "    raise ConfigError('the transport order must be a finite p >= 1')\n"
+        "def h(p):\n"
+        "    message = 'transport order'\n"
+        "    raise ValueError(message)\n"
+        "raise ValueError('transport order')\n"
+    )
+    assert rule_raises(source, "transport order") == ["f", "Spec.__post_init__", ""]
+    assert rule_raises(source, "regularisation") == []
+
+
+def test_each_input_rule_is_raised_at_one_site():
+    # every other reader of these values calls the function that raises
+    found = {
+        phrase: [f"{path.stem}.{site}" for path in sorted(PACKAGE.glob("*.py"))
+                 for site in rule_raises(path.read_text(), phrase)]
+        for phrase in RULES
+    }
+    assert found == {phrase: [site] for phrase, site in RULES.items()}

@@ -10,6 +10,7 @@ from kdvlab.spectral import (
     evaluate,
     hamiltonian,
     hamiltonian_many,
+    hs_weights,
     integral_u3,
     integral_u3_many,
     linf_norm,
@@ -68,6 +69,10 @@ def test_sobolev_norm_examples():
     assert sobolev_norm(zero_field(4), 0.7) == 0.0
     with pytest.raises(ValueError):
         sobolev_norm(cosine_mode(1), -0.1)
+    # the one H^s weight states the exponent rule for every norm and distance
+    for s in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="regularity exponent must be >= 0"):
+            hs_weights(3, s)
 
 
 @pytest.mark.parametrize("s", [0.0, 0.25, 1.0])
@@ -93,6 +98,8 @@ def test_project_examples_and_properties():
     assert np.allclose(project(u, 1).modes, cosine_mode(1, 2).modes)
     assert np.allclose(project(cosine_mode(1), 0).modes, 0.0)
     assert np.allclose(project(u, 5).modes, u.modes)
+    with pytest.raises(ValueError, match="projection cutoff must be >= 0"):
+        project(u, -1)
 
     rng = np.random.default_rng(2)
     for _ in range(50):

@@ -256,8 +256,10 @@ def test_entropic_default_epsilon_is_set_from_the_live_costs():
     assert res.value == wasserstein_p_entropic(a, b, 0.25, 2.0, epsilon=want).value
     parts = combined_metric_parts(a, b, 0.25, 2.0, backend="entropic")
     assert parts.epsilon == want and parts.w_p == res.value
-    with pytest.raises(ValueError):
-        wasserstein_p_entropic(a, b, 0.25, 2.0, epsilon=0.0)
+    # an infinite epsilon used to end in a Sinkhorn failure with residual nan
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="regularisation must be finite and positive"):
+            wasserstein_p_entropic(a, b, 0.25, 2.0, epsilon=bad)
 
 
 def test_entropic_nonconvergence_error():
@@ -268,13 +270,34 @@ def test_entropic_nonconvergence_error():
     assert err.value.residual > 0
 
 
-@pytest.mark.parametrize("p", [np.inf, np.nan, 0.5])
-def test_entropic_rejects_an_order_exact_rejects(p):
-    # p = inf used to run every Sinkhorn sweep on NaN potentials before failing
+@pytest.mark.parametrize("p", [np.inf, np.nan, 0.5, 0.0])
+def test_entropic_rejects_an_order_exact_rejects(p, tmp_path):
+    # p = inf used to run every Sinkhorn sweep on NaN potentials before failing;
+    # the dense costs, the plan price and the plan file read the same rule, where
+    # cost_matrix returned an all-inf matrix at p = inf, plan_cost priced p = 0.5
+    # and p = inf and divided by zero at p = 0, and write_plan_csv wrote p = 0.5
     a, b = uniform_ensemble(6, 3, seed=12), uniform_ensemble(6, 3, seed=13)
-    for solve in (wasserstein_p_exact, wasserstein_p_entropic):
-        with pytest.raises(ValueError, match="finite p >= 1"):
-            solve(a, b, 0.25, p)
+    plan = wasserstein_p_exact(a, b, 0.25, 2.0)[1]
+    readers = [lambda: wasserstein_p_exact(a, b, 0.25, p),
+               lambda: wasserstein_p_entropic(a, b, 0.25, p),
+               lambda: cost_matrix(a, b, 0.25, p), lambda: plan_cost(a, b, plan, 0.25, p),
+               lambda: write_plan_csv(tmp_path / "plan.csv", plan, a, b, 0.25, p)]
+    for read in readers:
+        with pytest.raises(ValueError, match="the transport order must be a finite p >= 1"):
+            read()
+    assert not (tmp_path / "plan.csv").exists()
+
+
+def test_plan_pricing_refuses_a_negative_exponent(tmp_path):
+    # plan_cost used to price s = -1, which no distance accepts
+    a, b = uniform_ensemble(6, 3, seed=12), uniform_ensemble(6, 3, seed=13)
+    plan = wasserstein_p_exact(a, b, 0.25, 2.0)[1]
+    for s in (-1.0, np.nan):
+        for read in (lambda: plan_cost(a, b, plan, s, 2.0), lambda: cost_matrix(a, b, s, 2.0),
+                     lambda: write_plan_csv(tmp_path / "plan.csv", plan, a, b, s, 2.0)):
+            with pytest.raises(ValueError, match="regularity exponent must be >= 0"):
+                read()
+    assert not (tmp_path / "plan.csv").exists()
 
 
 # --- bottleneck -------------------------------------------------------------
