@@ -71,6 +71,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-3" for an option; a negative number in any float form is a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise _UsageError(message)
 

@@ -127,8 +127,8 @@ def sobolev_norm(u: TorusField, s: float) -> float:
 
 def hs_weights(m: int, s: float) -> np.ndarray:
     """Weights w_k = NORM_FACTOR k^{2s}, k = 1..m, of |u|_{H^s}^2 = sum_k w_k |u_hat(k)|^2."""
-    if not s >= 0:
-        raise ValueError("regularity exponent must be >= 0")
+    if not 0 <= s < np.inf:
+        raise ValueError("regularity exponent must be >= 0 and finite")
     k = np.arange(1, m + 1, dtype=np.float64)
     return NORM_FACTOR * k ** (2 * s)
 

@@ -58,6 +58,8 @@ from .measures import WeightedEnsemble
 from .spectral import fit_modes, hs_weights
 
 MARGINAL_TOL = 1e-9
+SINKHORN_TOL = 1e-5  # worst row-marginal violation at which a Sinkhorn level stops
+SINKHORN_MAX_SWEEPS = 20000  # target-level sweeps before Sinkhorn gives up
 _MASS_EPS = 1e-15  # plan entries below this are treated as structural zeros
 
 
@@ -90,8 +92,8 @@ class TransportPlan:
     row_residual: float
     col_residual: float
 
-    def check(self, tol: float = MARGINAL_TOL) -> bool:
-        return self.row_residual <= tol and self.col_residual <= tol
+    def check(self) -> bool:
+        return self.row_residual <= MARGINAL_TOL and self.col_residual <= MARGINAL_TOL
 
 
 def _plan_from(r, c, mass, ia, ib, a: WeightedEnsemble, b: WeightedEnsemble):
@@ -321,7 +323,6 @@ class EntropicResult:
     value: float
     plan: TransportPlan
     iterations: int
-    residual: float
     epsilon: float
 
 
@@ -331,22 +332,20 @@ def wasserstein_p_entropic(
     s: float,
     p: float,
     epsilon: float | None = None,
-    max_iter: int = 20000,
-    tol: float = 1e-5,
     *,
     block: _LiveBlock | None = None,
 ) -> EntropicResult:
     """Sinkhorn estimate of the order-p distance, always >= the exact value.
 
-    Log-domain Sinkhorn with an annealed regularisation schedule (halving
-    from a quarter of the cost range down to the target epsilon) warm-starts
-    the potentials; the target level then iterates until the worst marginal
-    violation falls below tol.  The plan is finally rounded to exact
-    feasibility, so the reported cost is that of a true coupling (marginals
-    are exact regardless of tol) and decreases toward the exact optimum as
-    epsilon shrinks.  The default epsilon is 1% of the median live-pair
-    cost (at least 1e-12); ``EntropicResult.epsilon`` reports the one used.
-    The costs come from the live block, as in :func:`wasserstein_p_exact`.
+    Log-domain Sinkhorn, warm-started by annealing (halving from a quarter of
+    the cost range to epsilon, at most 50 sweeps a level), sweeps until the
+    worst row-marginal violation is below ``SINKHORN_TOL`` or g comes back
+    unchanged (a fixed point), at most ``SINKHORN_MAX_SWEEPS`` times.  A sweep
+    makes two reductions: the column one gives g, the row one the next f and
+    the row sums of the plan (f, g).  That plan, formed once, is rounded to a
+    true coupling of the live block, whose cost falls toward the exact optimum
+    as epsilon shrinks.  The default epsilon, 1% of the median live-pair cost
+    (at least 1e-12), is reported as ``EntropicResult.epsilon``.
     """
     if epsilon is not None and not 0 < epsilon < math.inf:
         raise ValueError("regularisation must be finite and positive")
@@ -355,36 +354,33 @@ def wasserstein_p_entropic(
     if epsilon is None:
         epsilon = max(0.01 * float(np.median(cost)), 1e-12)
     la, lb = np.log(wa), np.log(wb)
+
+    def run(g, eps: float, sweeps: int):
+        """At most ``sweeps`` sweeps at eps from g: the last (f, g), their row residual, the count."""
+        lse = logsumexp((g[None, :] - cost) / eps, axis=1)
+        for sweep in range(1, sweeps + 1):
+            f = eps * (la - lse)
+            g_next = eps * (lb - logsumexp((f[:, None] - cost) / eps, axis=0))
+            lse = logsumexp((g_next[None, :] - cost) / eps, axis=1)
+            residual = float(np.max(np.abs(np.exp(f / eps + lse) - wa)))
+            if residual < SINKHORN_TOL or np.array_equal(g_next, g, equal_nan=True):
+                return f, g_next, residual, sweep
+            g = g_next
+        return f, g, residual, sweep
+
     g = np.zeros(wb.size)
-
-    def sweep(eps: float):
-        """From g alone: the next g, the log-plan, its row residual and whether g came back
-        unchanged (then every later sweep repeats this one, and none can converge)."""
-        f = eps * (la - logsumexp((g[None, :] - cost) / eps, axis=1))
-        g2 = eps * (lb - logsumexp((f[:, None] - cost) / eps, axis=0))
-        log_plan = (f[:, None] + g2[None, :] - cost) / eps
-        rows = np.exp(logsumexp(log_plan, axis=1))
-        return g2, log_plan, float(np.max(np.abs(rows - wa))), np.array_equal(g2, g, equal_nan=True)
-
     level = max(epsilon, 0.25 * float(np.ptp(cost)))
     while level > epsilon:
-        for _ in range(50):
-            g, _, residual, fixed = sweep(level)
-            if residual < tol or fixed:
-                break
+        g = run(g, level, 50)[1]
         level /= 2.0
-    residual, iterations = math.inf, 0
-    for iterations in range(1, max_iter + 1):
-        g, log_plan, residual, fixed = sweep(epsilon)
-        if residual < tol or fixed:
-            break
-    if not residual < tol:
+    f, g, residual, iterations = run(g, epsilon, SINKHORN_MAX_SWEEPS)
+    if not residual < SINKHORN_TOL:
         raise SinkhornConvergenceError(residual, iterations)
-    rounded = _round_to_feasible(np.exp(log_plan), wa, wb)
+    rounded = _round_to_feasible(np.exp((f[:, None] + g[None, :] - cost) / epsilon), wa, wb)
     r, c = np.divmod(np.arange(rounded.size), rounded.shape[1])  # every entry, row-major
     plan, r, c = _plan_from(r, c, rounded.ravel(), block.ia, block.ib, a, b)
     value = float(np.sum(plan.mass * cost[r, c])) ** (1.0 / p)
-    return EntropicResult(value, plan, iterations, residual, epsilon)
+    return EntropicResult(value, plan, iterations, epsilon)
 
 
 # --- bottleneck distance ----------------------------------------------------

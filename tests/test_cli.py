@@ -375,6 +375,19 @@ def test_projection_and_init_above_the_truncation_are_usage_errors(tmp_path, cap
                       "--cutoff", "10", "--out", str(tmp_path / "e.kdve")]) == EXIT_OK
 
 
+def test_a_negative_value_in_exponent_form_is_a_value(tmp_path, capsys):
+    # argparse took "-1e-3" for an option and exited 2 with "expected one argument"
+    gibbs = ["sample", "--measure", "gibbs", "--n", "8", "--modes", "4", "--cutoff", "10"]
+    assert cli_entry(gibbs + ["--coeff", "-1e-3", "--out", str(tmp_path / "a.kdve")]) == EXIT_OK
+    assert cli_entry(gibbs + ["--coeff=-1e-3", "--out", str(tmp_path / "b.kdve")]) == EXIT_OK
+    assert (tmp_path / "a.kdve").read_bytes() == (tmp_path / "b.kdve").read_bytes()
+    assert capsys.readouterr().err == ""
+    # an option-like --init is still no value
+    assert cli_entry(["solve", "--t", "1", "--init", "-c1", "--out", str(tmp_path / "s")]) \
+        == EXIT_USAGE
+    assert "expected one argument" in json.loads(capsys.readouterr().err)["message"]
+
+
 @pytest.mark.parametrize("module", ["kdvlab", "kdvlab.cli"])
 def test_python_m_follows_the_exit_codes(tmp_path, module):
     src = str(Path(kdvlab.__file__).resolve().parent.parent)

@@ -70,7 +70,8 @@ def test_sobolev_norm_examples():
     with pytest.raises(ValueError):
         sobolev_norm(cosine_mode(1), -0.1)
     # the one H^s weight states the exponent rule for every norm and distance
-    for s in (-0.1, np.nan):
+    # an infinite exponent used to price cos(x) at 1 - 2^-53 and cos(2x) at inf
+    for s in (-0.1, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="regularity exponent must be >= 0"):
             hs_weights(3, s)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import dense_plan
 from kdvlab import transport
 from kdvlab.flow import SolverConfig, evolve_many
-from kdvlab.measures import WeightedEnsemble
+from kdvlab.measures import GaussianSpec, GibbsSpec, WeightedEnsemble, sample_gaussian, sample_gibbs
 from kdvlab.spectral import cosine_mode, hs_weights, sobolev_norm
 from kdvlab.transport import (
     _MASS_EPS,
@@ -262,12 +262,50 @@ def test_entropic_default_epsilon_is_set_from_the_live_costs():
             wasserstein_p_entropic(a, b, 0.25, 2.0, epsilon=bad)
 
 
-def test_entropic_nonconvergence_error():
+def test_entropic_nonconvergence_error(monkeypatch):
     a = uniform_ensemble(5, 3, seed=12)
     b = uniform_ensemble(5, 3, seed=13)
+    monkeypatch.setattr(transport, "SINKHORN_MAX_SWEEPS", 5)
+    monkeypatch.setattr(transport, "SINKHORN_TOL", 1e-12)
     with pytest.raises(SinkhornConvergenceError) as err:
-        wasserstein_p_entropic(a, b, 0.25, 2.0, epsilon=1e-7, max_iter=5, tol=1e-12)
+        wasserstein_p_entropic(a, b, 0.25, 2.0, epsilon=1e-7)
     assert err.value.residual > 0
+
+
+def test_entropic_results_keep_their_values_and_sweeps():
+    # default epsilon, s 0.25, p 2: values and target-level sweeps before the two-reduction sweep
+    gauss = [sample_gaussian(GaussianSpec(8, seed), 10) for seed in (0, 100)]
+    gibbs = [sample_gibbs(GibbsSpec(GaussianSpec(8, seed)), 52)[0] for seed in (1, 101)]
+    for (a, b), value, sweeps in ((gauss, 2.4611726289588924, 1392),
+                                  (gibbs, 1.3787882667286353, 40)):
+        res = wasserstein_p_entropic(a, b, 0.25, 2.0)
+        assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert res.iterations == sweeps
+
+
+def test_sinkhorn_makes_two_reductions_a_sweep_and_one_a_level(monkeypatch):
+    # a sweep used to make a third reduction, over a log-plan it built only for its residual
+    axes = []
+
+    def counted(values, axis):
+        axes.append(axis)
+        return logsumexp(values, axis=axis)
+
+    logsumexp = transport.logsumexp
+    monkeypatch.setattr(transport, "logsumexp", counted)
+    a, b = uniform_ensemble(6, 3, seed=12), uniform_ensemble(7, 3, seed=13)
+    cost = cost_matrix(a, b, 0.25, 2.0)
+    # one level: epsilon above a quarter of the cost range runs no annealing
+    res = wasserstein_p_entropic(a, b, 0.25, 2.0, epsilon=float(np.ptp(cost)))
+    assert len(axes) == 2 * res.iterations + 1
+    axes.clear()
+    res = wasserstein_p_entropic(a, b, 0.25, 2.0)
+    levels, level = 1, 0.25 * float(np.ptp(cost))
+    while level > res.epsilon:
+        levels, level = levels + 1, level / 2.0
+    assert levels > 2
+    # each sweep makes one column reduction and one row reduction; each level one row more
+    assert axes.count(1) == axes.count(0) + levels and len(axes) == 2 * axes.count(0) + levels
 
 
 @pytest.mark.parametrize("p", [np.inf, np.nan, 0.5, 0.0])
@@ -780,8 +818,6 @@ def test_bottleneck_reaches_every_positive_weight():
 
 
 def gibbs_pair(seed, shifted):
-    from kdvlab.measures import GaussianSpec, GibbsSpec, sample_gibbs
-
     a, _ = sample_gibbs(GibbsSpec(GaussianSpec(16, seed=seed)), 160)
     if shifted:
         return a, a.replace(coeffs=a.coeffs + 1e-3 * cosine_mode(3, 16).modes[None, :])
