@@ -6,6 +6,13 @@ pipeline returns an :class:`ExperimentReport` carrying a per-point series, a
 summary of fitted quantities, and provenance (config hash, seed, package
 versions); reports depend only on (config, seed), never on thread count or
 scheduling.
+
+``continuity`` and ``stability`` share two pieces.  :func:`_pair` builds the
+base ensemble, its perturbation and their time-zero distance, and refuses a
+perturbation that leaves that distance 0 (both pipelines divide by it) as a
+:class:`ConfigError` naming ``perturbation_delta``.  :func:`_walk` steps a
+list of ensembles through the time grid as one batch, one flow map per grid
+step.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .measures import (
 )
 from .rng import derive_seed
 from .spectral import cosine_mode, hs_weights, integral_u3_many, sobolev_norm, squared_norms_many
-from .transport import combined_metric_parts, plan_cost
+from .transport import CombinedDistance, combined_metric_parts, plan_cost
 
 
 class ConfigError(ValueError):
@@ -181,12 +188,9 @@ def _coerce(name: str, kind, raw: str):
             return float(raw)
         if kind is str:
             return raw
-        if kind == tuple[float, ...]:
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        if kind == tuple[int, ...]:
-            return tuple(int(v) for v in raw.split(",") if v.strip())
-        if kind == tuple[str, ...]:
-            return tuple(v.strip() for v in raw.split(",") if v.strip())
+        if typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            return tuple(item(v.strip()) for v in raw.split(",") if v.strip())
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc
     raise ConfigError(f"unsupported type for key {name}")
@@ -279,12 +283,9 @@ def write_report(report: ExperimentReport, out_dir, fmt: str = "csv") -> None:
     if fmt == "json":
         write_json(os.path.join(out_dir, "series.json"), report.series)
         return
-    path = os.path.join(out_dir, "series.csv")
-    if not report.series:
-        open(path, "w").close()
-        return
-    header = list(report.series[0])
-    write_rows(path, header, ([row[k] for k in header] for row in report.series))
+    header = list(report.series[0])  # every pipeline reports at least one row
+    write_rows(os.path.join(out_dir, "series.csv"), header,
+               ([row[k] for k in header] for row in report.series))
 
 
 # --- shared pieces -----------------------------------------------------------
@@ -310,19 +311,44 @@ def _perturb(ens: WeightedEnsemble, cfg: ExperimentConfig) -> WeightedEnsemble:
     return ens2
 
 
-def _require_perturbation(cfg: ExperimentConfig) -> None:
-    """Continuity and stability divide by the initial distance: it must not vanish.
+def _pair(cfg: ExperimentConfig) -> tuple[WeightedEnsemble, WeightedEnsemble, CombinedDistance]:
+    """The base ensemble, its perturbation and their time-zero distance.
 
-    Checked when the experiment runs rather than in the config itself, so a
-    zero-delta config can still build the identical pair that checks
-    :func:`_perturb`.
+    Continuity and stability divide by that distance, so a perturbation that
+    moves no draw is refused as a config error: a delta that is zero or not
+    finite before anything is sampled (a NaN delta would make the perturbed
+    draws invalid), and one that every coefficient absorbs (1e-300) once the
+    distance is known.  Both are checked here rather than in the config, so a
+    zero-delta config still builds the identical pair through :func:`_perturb`.
     """
     delta = cfg.perturbation_delta
-    if cfg.perturbation in ("mode_shift", "rescale") and not (math.isfinite(delta) and delta != 0):
-        raise ConfigError(
-            f"{cfg.experiment} with {cfg.perturbation} needs a finite nonzero "
-            f"perturbation_delta, got {delta!r}"
-        )
+    refusal = ConfigError(
+        f"{cfg.experiment} with {cfg.perturbation} needs a finite perturbation_delta "
+        f"that moves a draw, got {delta!r}"
+    )
+    if cfg.perturbation != "resample" and not (math.isfinite(delta) and delta != 0):
+        raise refusal
+    mu, _ = _base_ensemble(cfg)
+    nu = _perturb(mu, cfg)
+    d0 = combined_metric_parts(mu, nu, cfg.s, cfg.p, cfg.backend, cfg.epsilon)
+    if d0.total == 0:
+        raise refusal
+    return mu, nu, d0
+
+
+def _walk(cfg: ExperimentConfig, ensembles: list[WeightedEnsemble]):
+    """Yield ``(t, ensembles pushed to t)`` at each grid time.
+
+    The ensembles are stepped as one batch (one discrete flow map, one step
+    size) from grid time to grid time, evolving only their positive-weight
+    draws.
+    """
+    solver = cfg.solver()
+    t_prev = 0.0
+    for t in cfg.time_grid:
+        ensembles = pushforward_many(ensembles, t - t_prev, solver)
+        t_prev = t
+        yield t, ensembles
 
 
 def _measure_radii(cfg: ExperimentConfig, ens: WeightedEnsemble) -> dict:
@@ -339,9 +365,8 @@ def _measure_radii(cfg: ExperimentConfig, ens: WeightedEnsemble) -> dict:
 def run_continuity(cfg: ExperimentConfig) -> ExperimentReport:
     """Track the combined distance of a coupled pair of ensembles through time.
 
-    Builds a base ensemble and its perturbation and steps both as one batch
-    (one discrete flow map, one step size) from grid time to grid time,
-    evolving only the positive-weight draws.  At every grid time it
+    Builds a base ensemble and its perturbation (:func:`_pair`) and steps
+    both as one batch (:func:`_walk`).  At every grid time it
     re-optimises the distance on the evolved pair and prices the time-zero
     optimal plans on that same pair (the order-p part over the order-p
     plan, the bottleneck part over the bottleneck plan): a pushed plan is a
@@ -351,11 +376,7 @@ def run_continuity(cfg: ExperimentConfig) -> ExperimentReport:
     continuity estimate bounds the ratio from above by a constant of t and
     the norm radii, and states no trend in t.
     """
-    _require_perturbation(cfg)
-    mu, _ = _base_ensemble(cfg)
-    nu = _perturb(mu, cfg)
-    solver = cfg.solver()
-    d0 = combined_metric_parts(mu, nu, cfg.s, cfg.p, cfg.backend, cfg.epsilon)
+    mu, nu, d0 = _pair(cfg)
     ra = _measure_radii(cfg, mu)
     rb = _measure_radii(cfg, nu)
     r1 = (ra["l2_sup"] + rb["l2_sup"]) ** 12
@@ -374,11 +395,7 @@ def run_continuity(cfg: ExperimentConfig) -> ExperimentReport:
         }
 
     series = [series_row(0.0, d0, d0.w_inf, d0.w_p)]
-    mu_t, nu_t = mu, nu
-    t_prev = 0.0
-    for t in cfg.time_grid:
-        mu_t, nu_t = pushforward_many([mu_t, nu_t], t - t_prev, solver)
-        t_prev = t
+    for t, (mu_t, nu_t) in _walk(cfg, [mu, nu]):
         dt_parts = combined_metric_parts(mu_t, nu_t, cfg.s, cfg.p, cfg.backend, cfg.epsilon)
         bound = plan_cost(mu_t, nu_t, d0.plan, cfg.s, cfg.p, d0.inf_plan)
         series.append(series_row(t, dt_parts, bound.w_inf_bound, bound.w_p_bound))
@@ -408,25 +425,15 @@ def run_stability(cfg: ExperimentConfig) -> ExperimentReport:
     evolved and the ratio of |nu^t - nu| to |nu - rho| is reported with the
     envelope ingredients of the perturbed ensemble.
     """
-    _require_perturbation(cfg)
-    rho, _ = _base_ensemble(cfg)
-    nu = _perturb(rho, cfg)
-    solver = cfg.solver()
-    d_base = combined_metric_parts(rho, nu, cfg.s, cfg.p, cfg.backend, cfg.epsilon).total
+    rho, nu, d0 = _pair(cfg)
     rb = _measure_radii(cfg, nu)
     series = [{"t": 0.0, "distance": 0.0, "ratio": 0.0}]
-    nu_t = nu
-    t_prev = 0.0
-    for t in cfg.time_grid:
-        nu_t = pushforward(nu_t, t - t_prev, solver)
-        t_prev = t
+    for t, (nu_t,) in _walk(cfg, [nu]):
         dist = combined_metric_parts(nu, nu_t, cfg.s, cfg.p, cfg.backend, cfg.epsilon).total
-        ratio = dist / d_base if d_base > 0 else math.inf
-        series.append({"t": t, "distance": dist, "ratio": ratio})
-    finite_ratios = [row["ratio"] for row in series[1:] if math.isfinite(row["ratio"])]
+        series.append({"t": t, "distance": dist, "ratio": dist / d0.total})
     summary = {
-        "distance_to_reference": d_base,
-        "max_ratio": max(finite_ratios) if finite_ratios else math.inf,
+        "distance_to_reference": d0.total,
+        "max_ratio": max(row["ratio"] for row in series[1:]),
         "r1_l2_sup_pow12": (1.0 + rb["l2_sup"]) ** 12,
         "r2_hs_moment": rb["hs_moment"],
         "backend": cfg.backend,
@@ -442,9 +449,10 @@ def _null_band(cfg: ExperimentConfig, n_replicas: int) -> np.ndarray:
         ens_b, _ = _base_ensemble(cfg, seed=derive_seed(cfg.seed, 0xA0, r, 1))
         return combined_metric_parts(ens_a, ens_b, cfg.s, cfg.p, cfg.backend, cfg.epsilon).total
 
-    if cfg.threads == 1:
+    workers = min(cfg.threads, n_replicas, os.cpu_count() or 1)
+    if workers == 1:
         return np.array([one(r) for r in range(n_replicas)])
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return np.array(list(pool.map(one, range(n_replicas))))
 
 
@@ -455,11 +463,14 @@ def _run_invariance_linear(cfg: ExperimentConfig) -> ExperimentReport:
     """Push a Gaussian ensemble by the free group; per-mode moments must not move."""
     ens = sample_gaussian(cfg.gaussian_spec(), cfg.ensemble_size)
     weights = {s_val: hs_weights(ens.n_modes, s_val) for s_val in _S_REPORT}
-    base = np.sum(ens.weights[:, None] * np.abs(ens.coeffs) ** 2, axis=0)  # E|u_hat(k)|^2
+
+    def second_moments(e: WeightedEnsemble) -> np.ndarray:  # E|u_hat(k)|^2
+        return np.sum(e.weights[:, None] * np.abs(e.coeffs) ** 2, axis=0)
+
+    base = second_moments(ens)
     series = []
     for t in cfg.time_grid:
-        pushed = pushforward_linear(ens, t)
-        moments = np.sum(pushed.weights[:, None] * np.abs(pushed.coeffs) ** 2, axis=0)
+        moments = second_moments(pushforward_linear(ens, t))
         row = {"t": t, "max_mode_moment_drift": float(np.max(weights[0.0] * np.abs(moments - base)))}
         for s_val, w in weights.items():
             row[f"hs_moment_drift_s{s_val}"] = abs(float(np.sum(w * moments) - np.sum(w * base)))
@@ -482,57 +493,36 @@ def _run_invariance_nonlinear(cfg: ExperimentConfig) -> ExperimentReport:
     of independent same-law pair distances.
     """
     ens, kappa = _base_ensemble(cfg)
-    solver = cfg.solver()
     t_star = cfg.time_grid[-1]
-    pushed = pushforward(ens, t_star, solver)
-
-    l2_sq0 = squared_norms_many(ens.coeffs, 0.0)
-    l2_sq1 = squared_norms_many(pushed.coeffs, 0.0)
-    # dead draws weigh nothing, but the bootstrap resamples every index: price
-    # the cubic on the live rows and keep zeros in the full-length layout
-    live = ens.weights > 0
-    cubic0 = np.zeros(ens.n)
-    cubic1 = np.zeros(pushed.n)
-    cubic0[live] = integral_u3_many(ens.coeffs[live])
-    cubic1[live] = integral_u3_many(pushed.coeffs[live])
-    boot_seed = derive_seed(cfg.seed, 0xB5)
-    b_l2 = bootstrap_weighted_mean(l2_sq0, ens.weights, cfg.bootstrap_replicas, boot_seed)
-    b_cu = bootstrap_weighted_mean(cubic0, ens.weights, cfg.bootstrap_replicas, boot_seed + 1)
-    drift_l2 = abs(float(np.sum(pushed.weights * l2_sq1)) - b_l2.mean)
-    drift_cu = abs(float(np.sum(pushed.weights * cubic1)) - b_cu.mean)
-
+    pushed = pushforward(ens, t_star, cfg.solver())
     dist = combined_metric_parts(ens, pushed, cfg.s, cfg.p, cfg.backend, cfg.epsilon).total
     null = _null_band(cfg, cfg.bootstrap_replicas)
-    lo, hi = np.percentile(null, [2.5, 97.5])
-    series = [
-        {
-            "t": t_star,
-            "distance": dist,
-            "null_lo95": float(lo),
-            "null_hi95": float(hi),
-            "l2_sq_mean": b_l2.mean,
-            "l2_sq_pushed": float(np.sum(pushed.weights * l2_sq1)),
-            "cubic_mean": b_cu.mean,
-            "cubic_pushed": float(np.sum(pushed.weights * cubic1)),
-        }
-    ]
+    lo, hi = (float(edge) for edge in np.percentile(null, [2.5, 97.5]))
+    row = {"t": t_star, "distance": dist, "null_lo95": lo, "null_hi95": hi}
     summary = {
-        "t": t_star,
+        **row,
         "kappa": kappa,
         "effective_sample_size": ens.effective_sample_size(),
-        "l2_sq_drift": drift_l2,
-        "l2_sq_se": b_l2.std_error,
-        "l2_sq_drift_z": drift_l2 / b_l2.std_error if b_l2.std_error > 0 else math.inf,
-        "cubic_drift": drift_cu,
-        "cubic_se": b_cu.std_error,
-        "cubic_drift_z": drift_cu / b_cu.std_error if b_cu.std_error > 0 else math.inf,
-        "distance": dist,
-        "null_lo95": float(lo),
-        "null_hi95": float(hi),
         "inside_null_band": bool(lo <= dist <= hi),
         "null_replicas": int(null.size),
     }
-    return ExperimentReport("invariance_nonlinear", series, summary, _provenance(cfg), ensemble=ens)
+    # dead draws weigh nothing, but the bootstrap resamples every index: price
+    # each invariant on the live rows and keep zeros in the full-length layout
+    live = ens.weights > 0
+    boot_seed = derive_seed(cfg.seed, 0xB5)
+    invariants = (("l2_sq", lambda coeffs: squared_norms_many(coeffs, 0.0)), ("cubic", integral_u3_many))
+    for index, (name, invariant) in enumerate(invariants):
+        before, after = np.zeros(ens.n), np.zeros(pushed.n)
+        before[live] = invariant(ens.coeffs[live])
+        after[live] = invariant(pushed.coeffs[live])
+        boot = bootstrap_weighted_mean(before, ens.weights, cfg.bootstrap_replicas, boot_seed + index)
+        row[f"{name}_mean"] = boot.mean
+        row[f"{name}_pushed"] = float(np.sum(pushed.weights * after))
+        drift = abs(row[f"{name}_pushed"] - boot.mean)
+        summary[f"{name}_drift"] = drift
+        summary[f"{name}_se"] = boot.std_error
+        summary[f"{name}_drift_z"] = drift / boot.std_error if boot.std_error > 0 else math.inf
+    return ExperimentReport("invariance_nonlinear", [row], summary, _provenance(cfg), ensemble=ens)
 
 
 def run_galerkin(cfg: ExperimentConfig) -> ExperimentReport:
@@ -584,7 +574,7 @@ def run_tails(cfg: ExperimentConfig) -> ExperimentReport:
         # survival targets spaced between 0.45 and ~2e-3 pick the usable range
         targets = np.exp(np.linspace(math.log(0.45), math.log(2e-3), _TAIL_GRID_POINTS))
         radii = np.quantile(values, 1.0 - targets)
-        fit = tail_fit(ens, functional, radii, s=cfg.s if functional == "hs" else None)
+        fit = tail_fit(ens, functional, radii, s=cfg.s)
         for r_val, surv, used in zip(fit.radii, fit.survival, fit.used):
             series.append(
                 {

@@ -252,7 +252,6 @@ def functional_values(ens: WeightedEnsemble, functional: str, s: float | None) -
 class TailFit:
     """Weighted least-squares fit of log survival against R^2."""
 
-    functional: str
     slope: float
     intercept: float
     r_squared: float
@@ -286,7 +285,6 @@ def tail_fit(
     w = survival[used] * ens.effective_sample_size()
     fit = weighted_linear_fit(x, y, w)
     return TailFit(
-        functional=functional,
         slope=fit.slope,
         intercept=fit.intercept,
         r_squared=fit.r_squared,

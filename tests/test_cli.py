@@ -252,8 +252,9 @@ def test_metric_values_transport_rejects_are_config_errors(tmp_path, capsys, cou
 
 @pytest.mark.parametrize("experiment", ["continuity", "stability"])
 def test_vanishing_perturbation_is_a_config_error(tmp_path, capsys, experiment):
+    # 1e-300 is absorbed into every coefficient it is added to: the pair is identical
     for perturbation, delta in [("mode_shift", "0"), ("rescale", "0.0"), ("mode_shift", "nan"),
-                                ("rescale", "inf")]:
+                                ("rescale", "inf"), ("mode_shift", "1e-300")]:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             f"experiment = {experiment}\nmodes = 4\nensemble_size = 8\nsolver_modes = 16\n"

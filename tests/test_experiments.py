@@ -210,6 +210,7 @@ def test_null_band_pools_only_above_one_worker(monkeypatch):
 
     cfg = parse_config_text(SMALL_INVARIANCE, threads=1)
     pool_class = experiments.ThreadPoolExecutor
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)  # the pool is capped by the host
 
     def no_pool(*args, **kwargs):
         raise AssertionError("threads = 1 built an executor")
@@ -226,6 +227,36 @@ def test_null_band_pools_only_above_one_worker(monkeypatch):
     pooled = experiments._null_band(dataclasses.replace(cfg, threads=2), 4)
     assert pools == [{"max_workers": 2}]
     assert serial.shape == (4,) and serial.tobytes() == pooled.tobytes()
+
+
+def test_null_band_pool_is_capped_by_threads_replicas_and_cores(monkeypatch):
+    from kdvlab import experiments
+
+    sizes = []
+
+    class InlinePool:  # records its size and maps in the calling thread
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", InlinePool)
+    cfg = parse_config_text(SMALL_INVARIANCE, threads=1)
+    serial = experiments._null_band(cfg, 3)
+    for cores, threads, replicas, size in [(8, 100_000, 3, 3), (2, 100_000, 3, 2), (8, 5, 3, 3),
+                                           (8, 2, 3, 2), (None, 100_000, 3, None), (1, 4, 3, None)]:
+        sizes.clear()
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+        band = experiments._null_band(dataclasses.replace(cfg, threads=threads), replicas)
+        assert sizes == ([] if size is None else [size])
+        assert band.tobytes() == serial.tobytes()
 
 
 def test_stability_ratio_scales_with_delta():
