@@ -29,9 +29,7 @@ for name, values in (
     ("L2 norm  ", ens.l2_norms()),
     ("H^0.25   ", ens.hs_norms(0.25)),
 ):
-    radii = np.quantile(values, 1.0 - targets)
-    fit = tail_fit(ens, {"sup norm ": "linf", "L2 norm  ": "l2", "H^0.25   ": "hs"}[name],
-                   radii, s=0.25)
+    fit = tail_fit(ens, values, np.quantile(values, 1.0 - targets))
     print(f"{name}: fitted slope {fit.slope:+.4f} (R^2 = {fit.r_squared:.4f})")
 
 print("\n== determinism ==")

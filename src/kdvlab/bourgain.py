@@ -24,7 +24,7 @@ import numpy as np
 from .flow import linear_flow_many
 from .kdve_io import write_rows
 from .rng import derive_seed, substream
-from .spectral import TorusField, evaluate_many
+from .spectral import TorusField, evaluate_many, hs_weights
 
 
 def _is_pow2(n: int) -> bool:
@@ -97,6 +97,7 @@ def _dispersion_weight(field: SpaceTimeField) -> np.ndarray:
 
 
 def _spatial_weight(field: SpaceTimeField, s: float) -> np.ndarray:
+    hs_weights(0, s)  # refuses the exponents every H^s norm refuses
     k = np.abs(field.k)
     w = np.zeros_like(k)
     nz = k > 0
@@ -183,35 +184,38 @@ def smooth_bump(x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class L4ProbeResult:
-    """Ratios of L4 norms to dispersion-weighted spectral sums."""
+class ProbeResult:
+    """Both sides of a probed inequality per trial, keyed by one CSV column.
 
-    resolution: tuple[int, int]
+    ``column`` names what ``values`` holds for each trial: the grid
+    resolution of an L4 draw, or the window width T of a bilinear one.
+    """
+
+    column: str
+    values: list | np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
 
     @property
     def ratios(self) -> np.ndarray:
-        return self.lhs / self.rhs
+        # a vanishing input makes both sides zero; the ratio is zero by convention
+        live = self.rhs > 0
+        return np.where(live, self.lhs / np.where(live, self.rhs, 1.0), 0.0)
 
     @property
     def max_ratio(self) -> float:
         return float(np.max(self.ratios))
 
-    def quantiles(self) -> list[float]:
-        return [float(v) for v in np.quantile(self.ratios, (0.5, 0.9, 1.0))]
-
     def write_csv(self, path) -> None:
-        res = f"{self.resolution[0]}x{self.resolution[1]}"
-        rows = [(i, res, lo, hi, lo / hi) for i, (lo, hi) in enumerate(zip(self.lhs, self.rhs))]
-        write_rows(path, ["trial", "resolution", "lhs", "rhs", "ratio"], rows)
+        rows = zip(range(self.lhs.size), self.values, self.lhs, self.rhs, self.ratios)
+        write_rows(path, ["trial", self.column, "lhs", "rhs", "ratio"], rows)
 
 
 def l4_inequality_probe(
     trials: int,
     resolution: tuple[int, int] = (64, 64),
     seed: int = 0,
-) -> L4ProbeResult:
+) -> ProbeResult:
     """Sample |F|_{L4} / (sum <tau-k^3>^{2/3} |F_hat|^2)^{1/2} on the band |k| <= 4, |tau| <= 10.
 
     Both sides are degree-one homogeneous, so the ratio measures only the
@@ -229,37 +233,12 @@ def l4_inequality_probe(
         g2 = np.abs(fld.spectrum) ** 2
         w = _dispersion_weight(fld) ** (2.0 / 3.0)
         rhs[i] = float(np.sqrt(np.sum(w * g2)))
-    return L4ProbeResult(resolution=(n_x, n_t), lhs=lhs, rhs=rhs)
-
-
-@dataclass(frozen=True)
-class BilinearProbeResult:
-    """T^{1/12}-normalised derivative-product ratios over a window grid."""
-
-    s: float
-    t_grid: np.ndarray
-    numerators: np.ndarray
-    denominators: np.ndarray
-
-    @property
-    def ratios(self) -> np.ndarray:
-        # a vanishing input makes both sides zero; the ratio is zero by convention
-        return np.where(self.denominators > 0, self.numerators / np.where(
-            self.denominators > 0, self.denominators, 1.0), 0.0)
-
-    @property
-    def fitted_constant(self) -> float:
-        return float(np.max(self.ratios))
-
-    def write_csv(self, path) -> None:
-        rows = zip(range(self.t_grid.size), self.t_grid, self.numerators, self.denominators,
-                   self.ratios)
-        write_rows(path, ["trial", "T", "lhs", "rhs", "ratio"], rows)
+    return ProbeResult("resolution", [f"{n_x}x{n_t}"] * trials, lhs, rhs)
 
 
 def bilinear_scaling_probe(
     u: SpaceTimeField, v: SpaceTimeField, s: float, t_grid
-) -> BilinearProbeResult:
+) -> ProbeResult:
     """Ratio of |eta_T d_x(uv)|_{Z^s} to T^{1/12} (|u|_{Y^s}|v|_{Y^0} + |u|_{Y^0}|v|_{Y^s}).
 
     The cutoff eta_T(t) = eta(t/T) localises the product near t = 0; the probe
@@ -287,4 +266,4 @@ def bilinear_scaling_probe(
         windowed = SpaceTimeField(deriv * eta[None, :])
         nums[i] = zs_norm(windowed, s)
         dens[i] = t_val ** (1.0 / 12.0) * (y_us * y_v0 + y_u0 * y_vs)
-    return BilinearProbeResult(s=s, t_grid=t_grid, numerators=nums, denominators=dens)
+    return ProbeResult("T", t_grid, nums, dens)

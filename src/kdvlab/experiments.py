@@ -574,8 +574,8 @@ def run_tails(cfg: ExperimentConfig) -> ExperimentReport:
         # survival targets spaced between 0.45 and ~2e-3 pick the usable range
         targets = np.exp(np.linspace(math.log(0.45), math.log(2e-3), _TAIL_GRID_POINTS))
         radii = np.quantile(values, 1.0 - targets)
-        fit = tail_fit(ens, functional, radii, s=cfg.s)
-        for r_val, surv, used in zip(fit.radii, fit.survival, fit.used):
+        fit = tail_fit(ens, values, radii)
+        for r_val, surv, used in zip(radii, fit.survival, fit.used):
             series.append(
                 {
                     "functional": functional,

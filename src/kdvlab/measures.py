@@ -235,15 +235,13 @@ def pushforward_linear(ens: WeightedEnsemble, t: float) -> WeightedEnsemble:
 FUNCTIONALS = ("linf", "l2", "hs")
 
 
-def functional_values(ens: WeightedEnsemble, functional: str, s: float | None) -> np.ndarray:
-    """Each draw's value of a tail functional, one of :data:`FUNCTIONALS` (``hs`` needs s)."""
+def functional_values(ens: WeightedEnsemble, functional: str, s: float) -> np.ndarray:
+    """Each draw's value of a tail functional, one of :data:`FUNCTIONALS`; only ``hs`` reads s."""
     if functional == "linf":
         return spectral.linf_norms_many(ens.coeffs)
     if functional == "l2":
         return ens.l2_norms()
     if functional == "hs":
-        if s is None:
-            raise ValueError("the hs functional needs an explicit s")
         return ens.hs_norms(s)
     raise ValueError(f"unknown functional {functional!r}; expected one of {FUNCTIONALS}")
 
@@ -255,15 +253,12 @@ class TailFit:
     slope: float
     intercept: float
     r_squared: float
-    radii: np.ndarray
     survival: np.ndarray
     used: np.ndarray  # boolean mask of grid points entering the fit
 
 
-def tail_fit(
-    ens: WeightedEnsemble, functional: str, radii, s: float | None = None
-) -> TailFit:
-    """Fit log P(F(u) > R) ~ intercept + slope * R^2 over the usable range.
+def tail_fit(ens: WeightedEnsemble, values, radii) -> TailFit:
+    """Fit log P(F(u) > R) ~ intercept + slope * R^2, F(u) each draw's entry of ``values``.
 
     Grid points with survival outside [1e-3, 0.5] are excluded; fewer than
     three usable points raises :class:`InsufficientDataError`.  Points are
@@ -272,8 +267,8 @@ def tail_fit(
     """
     if ens.effective_sample_size() < 500:
         raise InsufficientDataError("tail fits need >= 500 effective samples")
+    values = np.asarray(values, dtype=np.float64)
     radii = np.asarray(list(radii), dtype=np.float64)
-    values = functional_values(ens, functional, s)
     survival = np.array([ens.weights[values > r].sum() for r in radii])
     used = (survival >= 1e-3) & (survival <= 0.5)
     if used.sum() < 3:
@@ -284,14 +279,7 @@ def tail_fit(
     y = np.log(survival[used])
     w = survival[used] * ens.effective_sample_size()
     fit = weighted_linear_fit(x, y, w)
-    return TailFit(
-        slope=fit.slope,
-        intercept=fit.intercept,
-        r_squared=fit.r_squared,
-        radii=radii,
-        survival=survival,
-        used=used,
-    )
+    return TailFit(fit.slope, fit.intercept, fit.r_squared, survival, used)
 
 
 @dataclass(frozen=True)

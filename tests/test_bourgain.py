@@ -159,18 +159,18 @@ def test_bilinear_probe_single_mode():
     u = traveling_wave(cosine_mode(1), 64, 512)
     res = bilinear_scaling_probe(u, u, 0.0, [1.0, 0.5, 0.25, 0.125])
     assert np.all(np.isfinite(res.ratios))
-    assert np.all(res.ratios <= res.fitted_constant)
-    assert res.fitted_constant > 0
+    assert np.all(res.ratios <= res.max_ratio)
+    assert res.max_ratio > 0
     # s = 0 symmetric inputs: the normaliser reduces to 2 |u|_{Y^0}^2
     y0 = ys_norm(u, 0.0)
-    assert res.denominators[0] == pytest.approx(2.0 * y0 * y0, rel=1e-12)
+    assert res.rhs[0] == pytest.approx(2.0 * y0 * y0, rel=1e-12)
 
 
 def test_bilinear_probe_zero_input():
     u = traveling_wave(cosine_mode(1), 64, 512)
     zero = SpaceTimeField(np.zeros_like(u.values))
     res = bilinear_scaling_probe(u, zero, 0.25, [1.0, 0.5, 0.25, 0.125])
-    assert np.all(res.numerators == 0.0)
+    assert np.all(res.lhs == 0.0)
     assert np.all(res.ratios == 0.0)
 
 
@@ -180,6 +180,16 @@ def test_bilinear_probe_grid_validation():
         bilinear_scaling_probe(u, u, 0.0, [1.0, 0.5])  # too few points
     with pytest.raises(ValueError):
         bilinear_scaling_probe(u, u, 0.0, [2.0, 1.0, 0.5, 0.25])  # outside (0, 1]
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), -1.0])
+def test_bourgain_exponents_obey_the_hs_rule(s):
+    # the exponent rule every other H^s norm keeps, with its message
+    u = traveling_wave(cosine_mode(1), 64, 512)
+    for norm in (lambda: xsb_norm(u, s, 0.5), lambda: ys_norm(u, s), lambda: zs_norm(u, s),
+                 lambda: bilinear_scaling_probe(u, u, s, [1.0, 0.5, 0.25, 0.125])):
+        with pytest.raises(ValueError, match="regularity exponent must be >= 0 and finite"):
+            norm()
 
 
 def test_probe_csv_outputs(tmp_path):

@@ -154,8 +154,7 @@ def test_every_csv_writer_writes_numbers_float_reads_back(tmp_path, capsys):
     u = traveling_wave(cosine_mode(1), 32, 64)
     bil = bilinear_scaling_probe(u, u, 0.0, [1.0, 0.5, 0.25, 0.125])
     bil.write_csv(tmp_path / "bil.csv")
-    want = np.column_stack([np.arange(4), bil.t_grid, bil.numerators, bil.denominators,
-                            bil.ratios])
+    want = np.column_stack([np.arange(4), bil.values, bil.lhs, bil.rhs, bil.ratios])
     assert np.array_equal(numbers(tmp_path / "bil.csv"), want)
 
     row = {"t": 0.5, "value": np.float64(1.25), "low": np.float32(0.1), "n": np.int64(3)}

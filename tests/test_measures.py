@@ -145,26 +145,26 @@ def test_tail_fit_trivial_cases():
     ens = WeightedEnsemble(coeffs, np.full(600, 1.0 / 600))
     # every field equals c_1; survival above its L2 norm is zero everywhere
     with pytest.raises(InsufficientDataError):
-        tail_fit(ens, "l2", [1.5, 2.0, 2.5, 3.0])
+        tail_fit(ens, ens.l2_norms(), [1.5, 2.0, 2.5, 3.0])
 
     gauss = sample_gaussian(GaussianSpec(n_modes=8, seed=2), 1024)
     radii = np.quantile(gauss.l2_norms(), [0.5, 0.7, 0.9, 0.95, 0.99])
-    fit = tail_fit(gauss, "l2", radii)
+    fit = tail_fit(gauss, gauss.l2_norms(), radii)
     assert fit.slope < 0
-    below = tail_fit(gauss, "l2", np.concatenate([[1e-6, 2e-6], radii]))
+    below = tail_fit(gauss, gauss.l2_norms(), np.concatenate([[1e-6, 2e-6], radii]))
     assert below.survival[0] == 1.0 and below.survival[1] == 1.0
 
 
 def test_tail_fit_needs_effective_samples():
     small = sample_gaussian(GaussianSpec(n_modes=4, seed=3), 100)
     with pytest.raises(InsufficientDataError):
-        tail_fit(small, "l2", [0.5, 1.0, 1.5])
+        tail_fit(small, small.l2_norms(), [0.5, 1.0, 1.5])
 
 
 def test_tail_fit_hs_negative_slope():
     ens = sample_gaussian(GaussianSpec(n_modes=16, seed=6), 2048)
-    radii = np.quantile(ens.hs_norms(0.25), [0.55, 0.7, 0.85, 0.95, 0.99])
-    fit = tail_fit(ens, "hs", radii, s=0.25)
+    values = ens.hs_norms(0.25)
+    fit = tail_fit(ens, values, np.quantile(values, [0.55, 0.7, 0.85, 0.95, 0.99]))
     assert fit.slope < 0
 
 
